@@ -31,14 +31,16 @@
 // panels completed, and exits non-zero with a structured error naming
 // the failing model, ET, benchmark, and cycle.
 //
-// With -journal, the sweep runs under the crash-safe supervisor: every
-// (input × model × ET) cell is recorded to a durable append-only
-// journal as it starts and finishes, cells run on a -jobs worker pool,
-// and retryable failures (deadline, deadlock, panic) are retried
-// -retries times with exponential -backoff and deterministic jitter. A
-// killed run restarts with -resume: completed cells replay from the
-// journal, only unfinished ones re-execute, and the merged tables are
-// byte-identical to an uninterrupted run's.
+// Every sweep runs under the crash-safe supervisor: its (input × model
+// × ET) cells run on a -jobs worker pool, and retryable failures
+// (deadline, deadlock, panic) are retried -retries times with
+// exponential -backoff and deterministic jitter. Panels print once the
+// sweep ends, in -bench order, so the output is the same at any -jobs.
+// With -journal, every cell is also recorded to a durable append-only
+// journal as it starts and finishes. A killed run restarts with
+// -resume: completed cells replay from the journal, only unfinished
+// ones re-execute, and the merged tables are byte-identical to an
+// uninterrupted run's.
 //
 // With -golden, the finished sweep is compared against a golden
 // baseline snapshot; any speedup drifting beyond the tolerance exits
@@ -102,7 +104,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fsckFlag    = fs.Bool("fsck", false, "integrity-check the -journal file and exit (no sweep runs)")
 		journalFlag = fs.String("journal", "", "record the sweep to a crash-safe run journal at this path")
 		resumeFlag  = fs.String("resume", "", "resume an interrupted sweep from this journal (re-runs only unfinished cells)")
-		jobsFlag    = fs.Int("jobs", 4, "worker-pool size for the journaled sweep")
+		jobsFlag    = fs.Int("jobs", 4, "worker-pool size for the sweep (every sweep runs on the supervised pool, journaled or not)")
 		retriesFlag = fs.Int("retries", 2, "retries per cell after the first attempt (retryable failures only)")
 		backoffFlag = fs.Duration("backoff", 500*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
 		memoDir     = fs.String("memo-dir", "", "content-addressed result-cache directory: repeated sweeps reuse cached cells (empty = caching off)")
@@ -229,9 +231,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	printed := make(map[string]bool)
 	emit := func(r *experiments.WorkloadResult) {
-		printed[r.Workload] = true
 		fmt.Fprintln(stdout, experiments.Render(r, cfg))
 		if *statsFlag && r.Workload != "harmonic-mean" {
 			printRootStats(stdout, r, cfg)
@@ -256,31 +256,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	var results []*experiments.WorkloadResult
-	if *journalFlag != "" || *resumeFlag != "" || mm != nil {
-		// -memo-dir alone also routes through the supervised matrix path:
-		// that is the decomposition whose cells carry canonical memo keys,
-		// and its merged tables are byte-identical to the streaming path's.
-		results, err = runJournaled(ctx, ws, cfg, journaledOpts{
-			journal: *journalFlag, resume: *resumeFlag,
-			jobs: *jobsFlag, retries: *retriesFlag, backoff: *backoffFlag,
-			memo: mm,
-		}, stderr)
-		// The supervised path emits nothing until the merge; print every
-		// completed panel (canonical order) whether or not the run failed.
-		for _, r := range results {
-			emit(r)
-		}
-	} else {
-		// Stream each workload's panel as it completes, so a cancelled or
-		// failed sweep still shows everything that finished.
-		cfg.OnResult = emit
-		results, err = experiments.RunAllContext(ctx, ws, cfg)
-		for _, r := range results {
-			if !printed[r.Workload] {
-				emit(r)
-			}
-		}
+	results, err := runSweep(ctx, ws, cfg, sweepOpts{
+		journal: *journalFlag, resume: *resumeFlag,
+		jobs: *jobsFlag, retries: *retriesFlag, backoff: *backoffFlag,
+		memo: mm,
+	}, stderr)
+	// Print every completed panel once, in canonical order, whether or
+	// not the run failed.
+	for _, r := range results {
+		emit(r)
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "deesim: %d of %d workloads completed before failure\n", len(results), len(ws))
@@ -356,18 +340,17 @@ func runPerf(ctx context.Context, o perfOpts, stdout, stderr io.Writer, fail fun
 	return 0
 }
 
-type journaledOpts struct {
+type sweepOpts struct {
 	journal, resume string
 	jobs, retries   int
 	backoff         time.Duration
 	memo            *memo.Memo
 }
 
-// runJournaled runs the sweep under the crash-safe supervisor,
-// creating or resuming the run journal. With no journal path (the
-// -memo-dir-only case) the supervisor runs unjournaled: the memo store
-// is the durability layer instead.
-func runJournaled(ctx context.Context, ws []bench.Workload, cfg experiments.Config, o journaledOpts, stderr io.Writer) ([]*experiments.WorkloadResult, error) {
+// runSweep runs the sweep under the crash-safe supervisor, creating or
+// resuming the run journal when one is named. Without -journal or
+// -resume the supervisor runs unjournaled.
+func runSweep(ctx context.Context, ws []bench.Workload, cfg experiments.Config, o sweepOpts, stderr io.Writer) ([]*experiments.WorkloadResult, error) {
 	meta := experiments.MatrixMeta(ws, cfg)
 	total := experiments.MatrixTaskCount(ws, cfg)
 	var (
@@ -405,17 +388,14 @@ func runJournaled(ctx context.Context, ws []bench.Workload, cfg experiments.Conf
 		},
 	}
 	results, err := experiments.RunMatrixContext(ctx, ws, cfg, mcfg)
-	if err != nil {
-		// The journal knows exactly what a resumed run will skip.
-		if path != "" {
-			if st, lerr := superv.Load(path); lerr == nil {
-				fmt.Fprintf(stderr, "deesim: journal %s: %s — resume with: deesim -resume %s\n",
-					path, st.Summary(total), path)
-			}
+	// The journal knows exactly what a resumed run will skip.
+	if err != nil && path != "" {
+		if st, lerr := superv.Load(path); lerr == nil {
+			fmt.Fprintf(stderr, "deesim: journal %s: %s — resume with: deesim -resume %s\n",
+				path, st.Summary(total), path)
 		}
-		return results, err
 	}
-	return results, nil
+	return results, err
 }
 
 // lookupResults adapts merged workload results to the golden-compare

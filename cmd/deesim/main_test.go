@@ -30,9 +30,9 @@ func fastArgs(extra ...string) []string {
 }
 
 // TestJournalResumeEndToEnd exercises -journal and -resume through the
-// real CLI: a journaled run prints every panel (canonical order, unlike
-// the plain path's completion-order streaming), and a journal with a
-// torn tail and missing records must resume to byte-identical output.
+// real CLI: a journaled run prints exactly the plain run's panels, and a
+// journal with a torn tail and missing records must resume to
+// byte-identical output.
 func TestJournalResumeEndToEnd(t *testing.T) {
 	code, plain, stderr := run(t, fastArgs()...)
 	if code != 0 {
@@ -56,6 +56,9 @@ func TestJournalResumeEndToEnd(t *testing.T) {
 	}
 	if xi, ci := strings.Index(journaled, "xlisp"), strings.Index(journaled, "compress"); xi > ci {
 		t.Errorf("journaled panels not in canonical order (xlisp@%d, compress@%d)", xi, ci)
+	}
+	if journaled != plain {
+		t.Errorf("journaled output differs from the plain run:\n--- journaled ---\n%s\n--- plain ---\n%s", journaled, plain)
 	}
 
 	// Simulate a crash: tear the journal tail (losing its final record
@@ -85,6 +88,22 @@ func TestJournalResumeEndToEnd(t *testing.T) {
 		t.Error("resume under a changed matrix succeeded")
 	} else if !strings.Contains(stderr, "journal") {
 		t.Errorf("unhelpful refusal: %s", stderr)
+	}
+}
+
+// TestOutputIndependentOfJobs: panels print once, in -bench order, so
+// the worker-pool size cannot reorder or change stdout.
+func TestOutputIndependentOfJobs(t *testing.T) {
+	code, serial, stderr := run(t, fastArgs("-jobs", "1", "-stats", "-csv")...)
+	if code != 0 {
+		t.Fatalf("-jobs 1 exited %d: %s", code, stderr)
+	}
+	code, parallel, stderr := run(t, fastArgs("-jobs", "4", "-stats", "-csv")...)
+	if code != 0 {
+		t.Fatalf("-jobs 4 exited %d: %s", code, stderr)
+	}
+	if serial != parallel {
+		t.Errorf("stdout differs between -jobs 1 and -jobs 4:\n--- jobs 1 ---\n%s\n--- jobs 4 ---\n%s", serial, parallel)
 	}
 }
 

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
-	"sync"
+	"strings"
 	"testing"
 
 	"deesim/internal/bench"
@@ -25,26 +25,18 @@ func synthWorkload(name string, iters, work int) bench.Workload {
 	}
 }
 
-// TestRunAllContextCancelMidSweep emulates a SIGINT arriving mid-sweep:
-// the first workload to finish cancels the shared context, and
-// RunAllContext must come back promptly with the completed results plus
-// a typed cancellation error — not hang on, and not discard, the work
-// already done.
-func TestRunAllContextCancelMidSweep(t *testing.T) {
+// TestMatrixCancelMidSweep emulates a SIGINT arriving mid-sweep: the
+// last cell of the first workload cancels the shared context, and
+// RunMatrixContext must come back promptly with the completed results
+// plus a typed cancellation error — not hang on, and not discard, the
+// work already done.
+func TestMatrixCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var mu sync.Mutex
-	var finished []string
 	cfg := Config{
 		Resources: []int{8, 32},
 		MaxInstrs: 5_000_000,
-		OnResult: func(r *WorkloadResult) {
-			mu.Lock()
-			finished = append(finished, r.Workload)
-			mu.Unlock()
-			cancel()
-		},
 	}
 	// "huge" is orders of magnitude more work than "tiny", so tiny
 	// finishes (and cancels) while huge is still mid-simulation.
@@ -52,7 +44,21 @@ func TestRunAllContextCancelMidSweep(t *testing.T) {
 		synthWorkload("tiny", 50, 1),
 		synthWorkload("huge", 200_000, 16),
 	}
-	done, err := RunAllContext(ctx, ws, cfg)
+	tinyCells := MatrixTaskCount(ws[:1], cfg)
+	merged := 0 // OnCell calls are serialized
+	mcfg := MatrixConfig{
+		Jobs: 2,
+		// OnCell fires before the cell folds into the aggregates, so
+		// cancelling on tiny's last cell still completes tiny.
+		OnCell: func(key string, _ bool) {
+			if strings.HasPrefix(key, "tiny/") {
+				if merged++; merged == tinyCells {
+					cancel()
+				}
+			}
+		},
+	}
+	done, err := RunMatrixContext(ctx, ws, cfg, mcfg)
 	if err == nil {
 		t.Fatal("expected a cancellation error, got full completion")
 	}
@@ -73,12 +79,12 @@ func TestRunAllContextCancelMidSweep(t *testing.T) {
 	t.Fatalf("completed workload missing from partial results: %v", done)
 }
 
-// TestRunAllContextDeadline checks an already-expired deadline aborts
-// the sweep with a typed deadline error.
-func TestRunAllContextDeadline(t *testing.T) {
+// TestMatrixDeadline checks an already-expired deadline aborts the
+// sweep with a typed deadline error.
+func TestMatrixDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	done, err := RunAllContext(ctx, []bench.Workload{synthWorkload("w", 2000, 2)}, Config{Resources: []int{8}})
+	done, err := RunMatrixContext(ctx, []bench.Workload{synthWorkload("w", 2000, 2)}, Config{Resources: []int{8}}, MatrixConfig{})
 	if err == nil {
 		t.Fatal("expected a deadline error")
 	}

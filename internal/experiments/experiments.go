@@ -7,12 +7,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"deesim/internal/bench"
 	"deesim/internal/ilpsim"
 	"deesim/internal/isa"
-	"deesim/internal/obs"
 	"deesim/internal/predictor"
 	"deesim/internal/runx"
 	"deesim/internal/stats"
@@ -38,14 +36,6 @@ type Config struct {
 	Predictor string
 	// Opts are passed to the simulator.
 	Opts ilpsim.Options
-	// OnResult, if non-nil, observes each workload result as it
-	// completes. It lets a CLI stream partial results during a long
-	// sweep — and print whatever finished when the sweep is cancelled.
-	// Calls are serialized by the harness (RunAllContext and
-	// RunMatrixContext guard every invocation with a mutex), so
-	// implementations may touch shared state without locking; they must
-	// not call back into the harness.
-	OnResult func(*WorkloadResult)
 }
 
 // Validate rejects configurations that would corrupt a sweep rather
@@ -145,36 +135,6 @@ type WorkloadResult struct {
 	Speedup  map[string]map[int]float64
 }
 
-// RunInput simulates one program input under every model and resource
-// level.
-func RunInput(name string, prog buildable, cfg Config) (*InputResult, error) {
-	return RunInputContext(context.Background(), name, prog, cfg)
-}
-
-// RunInputContext is RunInput under a context: trace capture, simulator
-// construction, and every model×ET run check ctx, so a deadline or
-// SIGINT interrupts the sweep at the next few-thousand-cycle boundary.
-// Failures are annotated with the input name (runx.Annotate) so an
-// error out of a large sweep names its benchmark.
-func RunInputContext(ctx context.Context, name string, prog buildable, cfg Config) (*InputResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, runx.Annotate(err, name)
-	}
-	endBuild := obs.TracerFrom(ctx).Span("build "+name, 0, nil)
-	tr, err := recordInput(ctx, name, prog, cfg)
-	if err != nil {
-		endBuild()
-		return nil, err
-	}
-	sim, err := newInputSim(ctx, name, tr, cfg)
-	endBuild()
-	if err != nil {
-		return nil, err
-	}
-	return runInputSim(ctx, name, tr, sim, cfg)
-}
-
 // recordInput builds an input's program and records its dynamic trace.
 func recordInput(ctx context.Context, name string, prog buildable, cfg Config) (*trace.Trace, error) {
 	p, err := prog(cfg.Scale)
@@ -201,70 +161,13 @@ func newInputSim(ctx context.Context, name string, tr *trace.Trace, cfg Config) 
 	return sim, nil
 }
 
-// runInputSim sweeps every configured model and resource level on an
-// already-prepared simulator.
-func runInputSim(ctx context.Context, name string, tr *trace.Trace, sim *ilpsim.Sim, cfg Config) (*InputResult, error) {
-	res := &InputResult{
-		Input:    name,
-		Insts:    tr.Len(),
-		Accuracy: sim.Accuracy(),
-		Speedup:  make(map[string]map[int]float64),
-		RootRate: make(map[string]map[int]float64),
-	}
-	res.Oracle = sim.Oracle().Speedup
-	for _, m := range cfg.Models {
-		ms := make(map[int]float64, len(cfg.Resources))
-		rs := make(map[int]float64, len(cfg.Resources))
-		for _, et := range cfg.Resources {
-			var r ilpsim.Result
-			var err error
-			if et == 0 {
-				// Resource level 0 = the Lam & Wilson unlimited setting.
-				r, err = sim.RunUnlimitedContext(ctx, m)
-			} else {
-				r, err = sim.RunContext(ctx, m, et)
-			}
-			if err != nil {
-				return nil, runx.Annotate(err, name)
-			}
-			ms[et] = r.Speedup
-			rs[et] = r.RootResolutionRate()
-		}
-		res.Speedup[m.String()] = ms
-		res.RootRate[m.String()] = rs
-	}
-	return res, nil
-}
-
 type buildable = func(scale int) (*isa.Program, error)
-
-// RunWorkload simulates all of a workload's inputs and harmonic-means
-// them.
-func RunWorkload(w bench.Workload, cfg Config) (*WorkloadResult, error) {
-	return RunWorkloadContext(context.Background(), w, cfg)
-}
-
-// RunWorkloadContext is RunWorkload under a context (see
-// RunInputContext).
-func RunWorkloadContext(ctx context.Context, w bench.Workload, cfg Config) (*WorkloadResult, error) {
-	cfg = cfg.withDefaults()
-	var inputs []*InputResult
-	for _, in := range w.Inputs {
-		ir, err := RunInputContext(ctx, w.Name+"/"+in.Name, in.Build, cfg)
-		if err != nil {
-			return nil, err
-		}
-		inputs = append(inputs, ir)
-	}
-	return aggregateWorkload(w.Name, inputs, cfg)
-}
 
 // aggregateWorkload folds per-input results into a workload datum: the
 // harmonic mean over inputs per model×ET (the paper's treatment of
 // espresso's four inputs), mean accuracy, and harmonic-mean oracle.
-// Both the direct path (RunWorkloadContext) and the journaled matrix
-// path (RunMatrixContext) aggregate through this one function, so a
-// resumed run's merged old+new results are bit-identical to an
+// Fresh and journal-replayed cells aggregate through this one function,
+// so a resumed run's merged old+new results are bit-identical to an
 // uninterrupted run's.
 func aggregateWorkload(name string, inputs []*InputResult, cfg Config) (*WorkloadResult, error) {
 	out := &WorkloadResult{
@@ -301,86 +204,8 @@ func aggregateWorkload(name string, inputs []*InputResult, cfg Config) (*Workloa
 	return out, nil
 }
 
-// RunAll simulates the given workloads — concurrently, one goroutine per
-// workload — and appends the cross-workload harmonic mean as a synthetic
-// result named "harmonic-mean" (Figure 5's summary panel).
-func RunAll(ws []bench.Workload, cfg Config) ([]*WorkloadResult, error) {
-	return RunAllContext(context.Background(), ws, cfg)
-}
-
-// RunAllContext is RunAll under a context. On failure or cancellation
-// it fails fast — the first error cancels the sibling workloads — and
-// returns the workload results that did complete alongside the error,
-// so callers can report partial progress. The first non-cancellation
-// error is preferred as the returned cause (a deadlocked workload, not
-// the cancellations it triggered).
-func RunAllContext(ctx context.Context, ws []bench.Workload, cfg Config) ([]*WorkloadResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateWorkloads(ws); err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	out := make([]*WorkloadResult, len(ws))
-	errs := make([]error, len(ws))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, w := range ws {
-		wg.Add(1)
-		go func(i int, w bench.Workload) {
-			defer wg.Done()
-			// One trace lane per workload goroutine, matching the
-			// journaled path's one-lane-per-worker convention.
-			defer obs.TracerFrom(ctx).Span("workload "+w.Name, i+1, nil)()
-			r, err := RunWorkloadContext(ctx, w, cfg)
-			out[i], errs[i] = r, err
-			if err != nil {
-				cancel() // fail fast: stop sibling workloads
-				return
-			}
-			if cfg.OnResult != nil {
-				mu.Lock()
-				cfg.OnResult(r)
-				mu.Unlock()
-			}
-		}(i, w)
-	}
-	wg.Wait()
-	done := make([]*WorkloadResult, 0, len(out))
-	for _, r := range out {
-		if r != nil {
-			done = append(done, r)
-		}
-	}
-	var firstErr error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (runx.IsKind(firstErr, runx.KindCanceled) && !runx.IsKind(err, runx.KindCanceled)) {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return done, firstErr
-	}
-	if len(done) > 1 {
-		hm, err := crossWorkloadMean(done, cfg)
-		if err != nil {
-			return done, err
-		}
-		done = append(done, hm)
-	}
-	return done, nil
-}
-
 // crossWorkloadMean builds the synthetic "harmonic-mean" result across
-// completed workloads (Figure 5's summary panel). Shared by
-// RunAllContext and RunMatrixContext so both paths summarize
-// identically.
+// completed workloads (Figure 5's summary panel).
 func crossWorkloadMean(done []*WorkloadResult, cfg Config) (*WorkloadResult, error) {
 	hm := &WorkloadResult{
 		Workload: "harmonic-mean",

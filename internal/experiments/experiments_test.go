@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func results(t *testing.T) []*WorkloadResult {
 	if cached != nil {
 		return cached
 	}
-	rs, err := RunAll(bench.All(), testConfig())
+	rs, err := RunMatrixContext(context.Background(), bench.All(), testConfig(), MatrixConfig{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,11 @@ func TestEspressoUsesFourInputs(t *testing.T) {
 	t.Error("espresso result missing")
 }
 
-// TestRunInputRejectsBadPredictor covers the error path.
-func TestRunInputRejectsBadPredictor(t *testing.T) {
+// TestMatrixRejectsBadPredictor covers the error path.
+func TestMatrixRejectsBadPredictor(t *testing.T) {
 	cfg := testConfig()
 	cfg.Predictor = "bogus"
-	_, err := RunAll(bench.All()[:1], cfg)
+	_, err := RunMatrixContext(context.Background(), bench.All()[:1], cfg, MatrixConfig{})
 	if err == nil {
 		t.Error("bogus predictor accepted")
 	}

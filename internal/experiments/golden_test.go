@@ -60,7 +60,7 @@ func TestSmokeGoldenGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := RunAllContext(context.Background(), smokeWorkloads(t), smokeConfig())
+	rs, err := RunMatrixContext(context.Background(), smokeWorkloads(t), smokeConfig(), MatrixConfig{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
