@@ -82,12 +82,12 @@ import (
 
 	"deesim/internal/budget"
 	"deesim/internal/coord"
+	"deesim/internal/durable"
 	"deesim/internal/fsck"
 	"deesim/internal/memo"
 	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/server"
-	"deesim/internal/superv"
 )
 
 func main() {
@@ -228,7 +228,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return fail(runx.Newf(runx.KindUnavailable, "deesimd", "listen %s: %v", *addrFlag, err))
 	}
 	if *addrFileFlag != "" {
-		if err := superv.WriteFileAtomic(*addrFileFlag, []byte(ln.Addr().String()+"\n")); err != nil {
+		if err := durable.WriteFileAtomic(nil, *addrFileFlag, []byte(ln.Addr().String()+"\n")); err != nil {
 			ln.Close()
 			return fail(err)
 		}

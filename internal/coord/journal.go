@@ -6,41 +6,31 @@
 // merges the returned results through the exact aggregation path a
 // single-node run uses — so the merged tables are byte-identical.
 //
-// Durability follows the superv discipline: every assignment and
-// completion is one fsync'd JSONL record, so a SIGKILL'd coordinator
-// resumes its sweep from the journal without re-running finished
-// cells. Recovery tolerates exactly one failure mode — a torn final
-// record — and treats any other damage as a typed KindCorrupt error.
+// Durability follows the superv discipline on durable's shared
+// journal: every assignment and completion is one fsync'd JSONL record,
+// so a SIGKILL'd coordinator resumes its sweep from the journal without
+// re-running finished cells. Recovery tolerates exactly one failure
+// mode — a torn final record — and treats any other damage as a typed
+// KindCorrupt error.
 package coord
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 
 	"deesim/internal/durable"
-	"deesim/internal/runx"
 )
-
-// JournalVersion is the coordinator journal's on-disk format version.
-const JournalVersion = 1
 
 // Coordinator journal record kinds. A journal is a header followed by
 // assign/done/expire/fail records appended in dispatch order.
 const (
-	kindHeader = "header"
 	// KindAssign marks a lease grant: the cell was durably assigned to a
 	// worker before the dispatch RPC left the coordinator.
 	KindAssign = "assign"
 	// KindDone marks a cell completion; the record carries the worker's
 	// CellResult payload verbatim. The first durable done record for a
 	// key wins — later completions of the same key are duplicates.
-	KindDone = "done"
+	KindDone = durable.KindDone
 	// KindExpire marks a lease the coordinator revoked (TTL passed,
 	// heartbeat lost, dispatch failed); the cell returns to the pending
 	// queue.
@@ -51,75 +41,21 @@ const (
 )
 
 // Record is one coordinator journal line.
-type Record struct {
-	Kind    string `json:"kind"`
-	Version int    `json:"v,omitempty"` // header only
-	Tool    string `json:"tool,omitempty"`
-	// Meta carries the sweep identity (the experiments.MatrixMeta
-	// digest) so resume refuses a journal recorded under a different
-	// matrix.
-	Meta map[string]string `json:"meta,omitempty"`
+type Record = durable.Record
 
-	Key     string `json:"key,omitempty"`
-	Worker  string `json:"worker,omitempty"`
-	Lease   string `json:"lease,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	// Speculative marks a straggler-mitigation duplicate lease.
-	Speculative bool            `json:"spec,omitempty"`
-	Result      json.RawMessage `json:"result,omitempty"`
-	Error       string          `json:"error,omitempty"`
-	ErrKind     string          `json:"errkind,omitempty"`
-	Retryable   bool            `json:"retryable,omitempty"`
-	Reason      string          `json:"reason,omitempty"`
+// Journal is an open, appendable coordinator journal. Safe for
+// concurrent use.
+type Journal = durable.Journal
 
-	// Sum is the record's content digest (durable.Digest over the
-	// record marshaled with Sum empty), written by Append and verified
-	// on replay — the superv journal's integrity discipline. Sum-less
-	// records are legacy and replay unverified.
-	Sum string `json:"sum,omitempty"`
+var journalFormat = &durable.JournalFormat{
+	Stage:    "coord.Journal",
+	OnAppend: mJournalFsyncs.Inc,
 }
 
-// encodeRecord marshals rec as one newline-terminated JSONL line with
-// its content digest in the Sum field; see the superv journal for why
-// re-marshaling the decoded record reproduces these bytes exactly.
-func encodeRecord(rec Record) ([]byte, error) {
-	rec.Sum = ""
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	rec.Sum = durable.Digest(line)
-	line, err = json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-// verifyRecordSum checks a decoded record against its recorded Sum.
-func verifyRecordSum(rec Record) error {
-	if rec.Sum == "" {
-		return nil
-	}
-	sum := rec.Sum
-	rec.Sum = ""
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := durable.Verify(line, sum); err != nil {
-		return fmt.Errorf("record sum: %w", err)
-	}
-	return nil
-}
-
-// State is the digest of a coordinator journal replay.
+// State is the digest of a coordinator journal replay. Done holds the
+// first completion recorded for each cell key.
 type State struct {
-	Tool string
-	Meta map[string]string
-	// Done maps completed cell keys to their durable result payloads —
-	// the first completion recorded for each key.
-	Done map[string]json.RawMessage
+	durable.Replay
 	// Attempts maps cell keys that were assigned (and possibly expired
 	// or failed) to the highest attempt number the journal records.
 	// Cells present here but not in Done were in flight when the
@@ -128,20 +64,11 @@ type State struct {
 	// Duplicates counts completions discarded because an identical
 	// result was already durable for the key.
 	Duplicates int
-	// Truncated is the number of torn-tail bytes recovery dropped.
-	Truncated int
 }
 
-// Journal is an open, appendable coordinator journal. Safe for
-// concurrent use.
-type Journal struct {
-	mu   sync.Mutex
-	fsys durable.FS
-	f    durable.File
-	path string
+func newState() *State {
+	return &State{Replay: durable.Replay{Done: make(map[string]json.RawMessage)}, Attempts: make(map[string]int)}
 }
-
-const stageJournal = "coord.Journal"
 
 // Create starts a fresh journal at path, fsync'ing the versioned
 // header before returning.
@@ -150,80 +77,8 @@ func Create(path, tool string, meta map[string]string) (*Journal, error) {
 }
 
 // CreateFS is Create on an injectable filesystem (nil = the real one).
-// Opening a journal first sweeps stale temp files a crashed writer
-// left in the directory.
 func CreateFS(fsys durable.FS, path, tool string, meta map[string]string) (*Journal, error) {
-	fsys = durable.Or(fsys)
-	durable.SweepStale(fsys, filepath.Dir(path)) // counted in deesim_durable_stale_swept_total
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, runx.Newf(journalOpenKind(err), stageJournal, "create %s: %w", path, err)
-	}
-	j := &Journal{fsys: fsys, f: f, path: path}
-	if err := j.Append(Record{Kind: kindHeader, Version: JournalVersion, Tool: tool, Meta: meta}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
-}
-
-// journalOpenKind and journalWriteKind classify journal I/O failures:
-// a full disk is KindUnavailable (the durable prefix is intact; free
-// space and resume), other open-time failures are the caller's path,
-// and other mid-run I/O errors leave the file untrustworthy.
-func journalOpenKind(err error) runx.Kind {
-	if durable.IsNoSpace(err) {
-		return runx.KindUnavailable
-	}
-	return runx.KindInvalidInput
-}
-
-func journalWriteKind(err error) runx.Kind {
-	if durable.IsNoSpace(err) {
-		return runx.KindUnavailable
-	}
-	return runx.KindCorrupt
-}
-
-// Append marshals rec as one JSONL line with its content digest in the
-// sum field, writes it, and fsyncs — the durability contract every
-// assign/done relies on.
-func (j *Journal) Append(rec Record) error {
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return runx.Newf(runx.KindInvalidInput, stageJournal, "marshal %s record: %w", rec.Kind, err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return runx.Newf(runx.KindInvalidInput, stageJournal, "append to closed journal %s", j.path)
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return runx.Newf(journalWriteKind(err), stageJournal, "write %s: %w", j.path, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return runx.Newf(journalWriteKind(err), stageJournal, "fsync %s: %w", j.path, err)
-	}
-	mJournalFsyncs.Inc()
-	return nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close syncs and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
+	return journalFormat.Create(fsys, path, tool, meta)
 }
 
 // Load replays the journal at path into a State, tolerating a torn
@@ -234,85 +89,20 @@ func Load(path string) (*State, error) {
 
 // LoadFS is Load on an injectable filesystem (nil = the real one).
 func LoadFS(fsys durable.FS, path string) (*State, error) {
-	data, err := durable.Or(fsys).ReadFile(path)
-	if err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageJournal, "read %s: %w", path, err)
+	st := newState()
+	if err := journalFormat.Load(fsys, path, &st.Replay, st.apply); err != nil {
+		return nil, err
 	}
-	return Decode(data)
+	return st, nil
 }
 
-// Decode replays in-memory journal bytes. Recovery is tolerant of
-// exactly one failure mode — a torn final record from a crash
-// mid-write: an unterminated or unparsable final line is dropped and
-// counted in State.Truncated. Any other damage (missing or
-// wrong-version header, unparsable interior record, a done record
-// without key or payload) is a typed KindCorrupt error. Decode never
-// panics on arbitrary bytes; FuzzCoordJournal holds it to that.
+// Decode replays in-memory journal bytes. A torn or damaged final
+// record is dropped and counted in State.Truncated; any other damage
+// is a typed KindCorrupt error (durable.JournalFormat.Decode).
 func Decode(data []byte) (*State, error) {
-	st := &State{
-		Done:     make(map[string]json.RawMessage),
-		Attempts: make(map[string]int),
-	}
-	rest := data
-	sawHeader := false
-	lineNo := 0
-	for len(rest) > 0 {
-		nl := -1
-		for i, b := range rest {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			st.Truncated = len(rest)
-			break
-		}
-		line, isLast := rest[:nl], nl+1 == len(rest)
-		rest = rest[nl+1:]
-		lineNo++
-		if len(strings.TrimSpace(string(line))) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if isLast {
-				st.Truncated = len(line) + 1
-				break
-			}
-			return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: %w", lineNo, err)
-		}
-		if err := verifyRecordSum(rec); err != nil {
-			if isLast {
-				// A damaged final record is recoverable the same way a
-				// torn one is: drop it and re-run the affected cell.
-				st.Truncated = len(line) + 1
-				break
-			}
-			durable.NoteCorrupt()
-			return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: %w", lineNo, err)
-		}
-		if !sawHeader {
-			if rec.Kind != kindHeader {
-				return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: first record is %q, want header", lineNo, rec.Kind)
-			}
-			if rec.Version != JournalVersion {
-				return nil, runx.Newf(runx.KindCorrupt, stageJournal, "journal version %d, this build reads %d", rec.Version, JournalVersion)
-			}
-			st.Tool, st.Meta = rec.Tool, rec.Meta
-			sawHeader = true
-			continue
-		}
-		if err := st.apply(rec); err != nil {
-			if isLast {
-				st.Truncated = len(line) + 1
-				break
-			}
-			return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: %w", lineNo, err)
-		}
-	}
-	if !sawHeader {
-		return nil, runx.Newf(runx.KindCorrupt, stageJournal, "no journal header (empty or truncated before the header record)")
+	st := newState()
+	if err := journalFormat.Decode(data, &st.Replay, st.apply); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -349,8 +139,6 @@ func (st *State) apply(rec Record) error {
 				st.Attempts[rec.Key] = rec.Attempt
 			}
 		}
-	case kindHeader:
-		return fmt.Errorf("second header record")
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
@@ -358,82 +146,24 @@ func (st *State) apply(rec Record) error {
 }
 
 // Resume reopens a coordinator journal for a continued sweep: replay
-// (tolerating a torn tail), verify tool and meta identity, compact to
-// header + one done record per completed cell via an atomic temp-file
-// swap, and reopen for append. The compaction bounds journal growth
-// across repeated crashes and guarantees the resumed file starts from
-// a clean, fully-terminated prefix.
+// (tolerating a torn tail), verify tool and meta identity, and compact
+// to header + one done record per completed cell before reopening for
+// append (durable.JournalFormat.Resume).
 func Resume(path, tool string, meta map[string]string) (*Journal, *State, error) {
 	return ResumeFS(nil, path, tool, meta)
 }
 
 // ResumeFS is Resume on an injectable filesystem (nil = the real one).
 func ResumeFS(fsys durable.FS, path, tool string, meta map[string]string) (*Journal, *State, error) {
-	fsys = durable.Or(fsys)
-	durable.SweepStale(fsys, filepath.Dir(path))
 	st, err := LoadFS(fsys, path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if st.Tool != tool {
-		return nil, nil, runx.Newf(runx.KindCorrupt, stageJournal,
-			"journal %s was recorded by %q, not %q", path, st.Tool, tool)
-	}
-	for k, v := range st.Meta {
-		if want, ok := meta[k]; ok && want != v {
-			return nil, nil, runx.Newf(runx.KindInvalidInput, stageJournal,
-				"journal %s was recorded with %s=%q, this sweep has %q", path, k, v, want)
-		}
-	}
-	tmp, err := durable.TempFile(fsys, path, "ckpt")
+	j, err := journalFormat.Resume(fsys, path, tool, meta, &st.Replay)
 	if err != nil {
-		return nil, nil, runx.Newf(journalOpenKind(err), stageJournal, "checkpoint temp: %w", err)
+		return nil, nil, err
 	}
-	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	writeRec := func(rec Record) error {
-		line, err := encodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(line)
-		return err
-	}
-	if err := writeRec(Record{Kind: kindHeader, Version: JournalVersion, Tool: st.Tool, Meta: st.Meta}); err == nil {
-		keys := make([]string, 0, len(st.Done))
-		for k := range st.Done {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err = writeRec(Record{Kind: KindDone, Key: k, Attempt: 1, Result: st.Done[k]}); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, nil, runx.Newf(journalWriteKind(err), stageJournal, "write checkpoint: %w", err)
-	}
-	// The compaction swap fsyncs the parent directory via
-	// durable.RenameAndSync — the step a bare os.Rename forgot here
-	// before the integrity layer.
-	if err := durable.RenameAndSync(fsys, tmp.Name(), path); err != nil {
-		return nil, nil, runx.Newf(journalWriteKind(err), stageJournal, "swap checkpoint: %w", err)
-	}
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, runx.Newf(journalOpenKind(err), stageJournal, "reopen %s: %w", path, err)
-	}
-	return &Journal{fsys: fsys, f: f, path: path}, st, nil
+	return j, st, nil
 }
 
 // Summary renders a one-line progress digest of a replayed state.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"deesim/internal/durable"
 	"deesim/internal/superv"
 )
 
@@ -284,7 +285,7 @@ func TestDrainJournalsInFlight(t *testing.T) {
 	fastData, _ := json.Marshal(fast)
 	// Atomic write keeps the digest sidecar in step — a bare
 	// os.WriteFile would (correctly) read as corruption on recovery.
-	if err := superv.WriteFileAtomic(specPath, fastData); err != nil {
+	if err := durable.WriteFileAtomic(nil, specPath, fastData); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := New(Config{StateDir: dir, Workers: 1, CellJobs: 1})

@@ -85,7 +85,7 @@ func (g *Golden) Write(path string) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(path, append(data, '\n'))
+	return durable.WriteFileAtomic(nil, path, append(data, '\n'))
 }
 
 // Lookup resolves a reproduced speedup for one golden cell; ok=false

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"deesim/internal/durable"
 	"deesim/internal/runx"
 )
 
@@ -103,7 +104,7 @@ func TestGoldenLoadRejectsMalformed(t *testing.T) {
 	}
 	for name, content := range cases {
 		path := filepath.Join(dir, name)
-		if err := WriteFileAtomic(path, []byte(content)); err != nil {
+		if err := durable.WriteFileAtomic(nil, path, []byte(content)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadGolden(path); !runx.IsKind(err, runx.KindCorrupt) {

@@ -7,136 +7,60 @@
 // The journal is the durability backbone. Every record is one JSON
 // object per line, fsync'd before the supervisor proceeds, so a crash —
 // OOM, SIGKILL, power loss — loses at most the record being written.
-// Recovery tolerates exactly that failure mode: a torn final record
-// (partial line, missing newline) is truncated and the run resumes;
-// corruption anywhere else is a typed *runx.Error of kind KindCorrupt,
-// because a journal damaged mid-file cannot be trusted to say which
-// tasks completed.
+// The framing, integrity sums, torn-tail recovery and resume compaction
+// are durable's shared journal; this package owns only the start/done/
+// fail record kinds and how they fold into a State.
 package superv
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 
 	"deesim/internal/durable"
-	"deesim/internal/runx"
 )
-
-// JournalVersion is the on-disk format version written to (and required
-// of) every journal header.
-const JournalVersion = 1
 
 // Record kinds. A journal is a header line followed by start/done/fail
 // records appended in execution order.
 const (
-	kindHeader = "header"
 	// KindStart marks a task attempt beginning.
 	KindStart = "start"
 	// KindDone marks a task attempt finishing successfully; the record
 	// carries the task's JSON result payload.
-	KindDone = "done"
+	KindDone = durable.KindDone
 	// KindFail marks a task attempt failing; the record carries the
 	// error text, its runx kind, and whether the supervisor deemed it
 	// retryable.
 	KindFail = "fail"
 )
 
-// Record is one journal line. Kind selects which fields are meaningful.
-type Record struct {
-	Kind    string `json:"kind"`
-	Version int    `json:"v,omitempty"` // header only
-	Tool    string `json:"tool,omitempty"`
-	// Meta carries run identity (config digest, matrix shape) so resume
-	// can refuse a journal recorded under different settings.
-	Meta map[string]string `json:"meta,omitempty"`
-
-	Key       string          `json:"key,omitempty"`
-	Attempt   int             `json:"attempt,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	ErrKind   string          `json:"errkind,omitempty"`
-	Retryable bool            `json:"retryable,omitempty"`
-
-	// Sum is the record's own content digest (durable.Digest over the
-	// record marshaled with Sum empty), written by Append and verified
-	// on replay. It extends torn-tail recovery to arbitrary mid-file
-	// damage: without it a bit flip inside a Result payload replays as
-	// a silently wrong completion; with it the flip reads as
-	// KindCorrupt and the journal quarantines. Records without a sum
-	// (pre-integrity journals) replay unverified.
-	Sum string `json:"sum,omitempty"`
-}
-
-// encodeRecord marshals rec as one newline-terminated JSONL line with
-// its content digest in the Sum field. The digest covers the record
-// marshaled with Sum empty; verification re-marshals the decoded
-// record the same way, which reproduces the written bytes exactly
-// because encoding/json field order is fixed and RawMessage payloads
-// round-trip verbatim.
-func encodeRecord(rec Record) ([]byte, error) {
-	rec.Sum = ""
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	rec.Sum = durable.Digest(line)
-	line, err = json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return append(line, '\n'), nil
-}
-
-// verifyRecordSum checks a decoded record against its recorded Sum.
-// Sum-less records are legacy and pass unverified.
-func verifyRecordSum(rec Record) error {
-	if rec.Sum == "" {
-		return nil
-	}
-	sum := rec.Sum
-	rec.Sum = ""
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	if err := durable.Verify(line, sum); err != nil {
-		return fmt.Errorf("record sum: %w", err)
-	}
-	return nil
-}
-
-// State is the digest of a journal replay: which tasks completed (with
-// their result payloads), which were started or failed without
-// completing, and how many torn-tail bytes recovery dropped.
-type State struct {
-	Tool string
-	Meta map[string]string
-	// Done maps completed task keys to their recorded result payloads.
-	Done map[string]json.RawMessage
-	// Pending maps task keys that were started or failed but never
-	// completed to the number of attempts the journal records for them.
-	Pending map[string]int
-	// Truncated is the number of bytes of torn final record dropped
-	// during recovery (0 for a cleanly closed journal).
-	Truncated int
-}
+// Record is one journal line; Kind selects which fields are meaningful.
+type Record = durable.Record
 
 // Journal is an open, appendable run journal. All methods are safe for
 // concurrent use.
-type Journal struct {
-	mu   sync.Mutex
-	fsys durable.FS
-	f    durable.File
-	path string
+type Journal = durable.Journal
+
+var journalFormat = &durable.JournalFormat{
+	Stage: "superv.Journal",
+	OnAppend: func() {
+		mJournalRecords.Inc()
+		mJournalFsyncs.Inc()
+	},
 }
 
-const stageJournal = "superv.Journal"
+// State is the digest of a journal replay: which tasks completed (with
+// their result payloads, in Done), which were started or failed without
+// completing, and how many torn-tail bytes recovery dropped.
+type State struct {
+	durable.Replay
+	// Pending maps task keys that were started or failed but never
+	// completed to the number of attempts the journal records for them.
+	Pending map[string]int
+}
+
+func newState() *State {
+	return &State{Replay: durable.Replay{Done: make(map[string]json.RawMessage)}, Pending: make(map[string]int)}
+}
 
 // Create starts a fresh journal at path (truncating any existing file),
 // writing and fsync'ing the versioned header before returning.
@@ -145,180 +69,31 @@ func Create(path, tool string, meta map[string]string) (*Journal, error) {
 }
 
 // CreateFS is Create on an injectable filesystem (nil = the real one).
-// Opening a journal first sweeps the directory's stale temp files —
-// debris a crashed writer left between CreateTemp and rename.
 func CreateFS(fsys durable.FS, path, tool string, meta map[string]string) (*Journal, error) {
-	fsys = durable.Or(fsys)
-	durable.SweepStale(fsys, filepath.Dir(path)) // counted in deesim_durable_stale_swept_total
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, runx.Newf(journalOpenKind(err), stageJournal, "create %s: %w", path, err)
-	}
-	j := &Journal{fsys: fsys, f: f, path: path}
-	if err := j.Append(Record{Kind: kindHeader, Version: JournalVersion, Tool: tool, Meta: meta}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return journalFormat.Create(fsys, path, tool, meta)
 }
 
-// journalOpenKind classifies a journal create/write failure: a full
-// disk is transient (free space and retry — callers park the run as
-// interrupted), anything else at open time is the caller's path being
-// wrong.
-func journalOpenKind(err error) runx.Kind {
-	if durable.IsNoSpace(err) {
-		return runx.KindUnavailable
-	}
-	return runx.KindInvalidInput
-}
-
-// journalWriteKind classifies a mid-run write/fsync failure: ENOSPC is
-// KindUnavailable (the journal's durable prefix is intact; the run can
-// resume once space frees), any other I/O error means the file's state
-// is no longer trustworthy — KindCorrupt.
-func journalWriteKind(err error) runx.Kind {
-	if durable.IsNoSpace(err) {
-		return runx.KindUnavailable
-	}
-	return runx.KindCorrupt
-}
-
-// Append marshals rec as one JSONL line with its content digest in the
-// sum field, writes it, and fsyncs before returning — the durability
-// contract every start/done/fail relies on.
-func (j *Journal) Append(rec Record) error {
-	line, err := encodeRecord(rec)
-	if err != nil {
-		return runx.Newf(runx.KindInvalidInput, stageJournal, "marshal %s record: %w", rec.Kind, err)
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return runx.Newf(runx.KindInvalidInput, stageJournal, "append to closed journal %s", j.path)
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return runx.Newf(journalWriteKind(err), stageJournal, "write %s: %w", j.path, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return runx.Newf(journalWriteKind(err), stageJournal, "fsync %s: %w", j.path, err)
-	}
-	mJournalRecords.Inc()
-	mJournalFsyncs.Inc()
-	return nil
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close syncs and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
-	return err
-}
-
-// Load replays the journal at path into a State. Recovery is tolerant
-// of exactly one failure mode — a torn final record from a crash
-// mid-write: if the last line is unterminated or fails to parse it is
-// dropped and counted in State.Truncated. Any other damage (a missing
-// or wrong-version header, an unparsable or unknown record before the
-// final line, a done record without a key) returns a typed *runx.Error
-// of kind KindCorrupt. Load never panics on arbitrary bytes; the fuzz
-// harness holds it to that.
+// Load replays the journal at path into a State (see Decode).
 func Load(path string) (*State, error) {
 	return LoadFS(nil, path)
 }
 
 // LoadFS is Load on an injectable filesystem (nil = the real one).
 func LoadFS(fsys durable.FS, path string) (*State, error) {
-	data, err := durable.Or(fsys).ReadFile(path)
-	if err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageJournal, "read %s: %w", path, err)
+	st := newState()
+	if err := journalFormat.Load(fsys, path, &st.Replay, st.apply); err != nil {
+		return nil, err
 	}
-	return Decode(data)
+	return st, nil
 }
 
-// Decode is Load over in-memory journal bytes.
+// Decode replays in-memory journal bytes. A torn or damaged final
+// record is dropped and counted in State.Truncated; any other damage
+// is a typed *runx.Error of kind KindCorrupt (durable.JournalFormat.Decode).
 func Decode(data []byte) (*State, error) {
-	st := &State{
-		Done:    make(map[string]json.RawMessage),
-		Pending: make(map[string]int),
-	}
-	// Split into newline-terminated lines; an unterminated final chunk
-	// is torn by definition (Append writes line+\n atomically enough
-	// that a complete record always ends in a newline).
-	rest := data
-	sawHeader := false
-	lineNo := 0
-	for len(rest) > 0 {
-		nl := -1
-		for i, b := range rest {
-			if b == '\n' {
-				nl = i
-				break
-			}
-		}
-		if nl < 0 {
-			st.Truncated = len(rest)
-			break
-		}
-		line, isLast := rest[:nl], nl+1 == len(rest)
-		rest = rest[nl+1:]
-		lineNo++
-		if len(strings.TrimSpace(string(line))) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if isLast {
-				// Terminated but unparsable final line: a crash can tear a
-				// record and a later writer can append the newline, or the
-				// tail bytes themselves were damaged. Still recoverable.
-				st.Truncated = len(line) + 1
-				break
-			}
-			return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: %w", lineNo, err)
-		}
-		if err := verifyRecordSum(rec); err != nil {
-			if isLast {
-				// A damaged final record is recoverable the same way a
-				// torn one is: drop it and re-run the affected task.
-				st.Truncated = len(line) + 1
-				break
-			}
-			durable.NoteCorrupt()
-			return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: %w", lineNo, err)
-		}
-		if !sawHeader {
-			if rec.Kind != kindHeader {
-				return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: first record is %q, want header", lineNo, rec.Kind)
-			}
-			if rec.Version != JournalVersion {
-				return nil, runx.Newf(runx.KindCorrupt, stageJournal, "journal version %d, this build reads %d", rec.Version, JournalVersion)
-			}
-			st.Tool, st.Meta = rec.Tool, rec.Meta
-			sawHeader = true
-			continue
-		}
-		if err := st.apply(rec); err != nil {
-			if isLast {
-				st.Truncated = len(line) + 1
-				break
-			}
-			return nil, runx.Newf(runx.KindCorrupt, stageJournal, "line %d: %w", lineNo, err)
-		}
-	}
-	if !sawHeader {
-		return nil, runx.Newf(runx.KindCorrupt, stageJournal, "no journal header (empty or truncated before the header record)")
+	st := newState()
+	if err := journalFormat.Decode(data, &st.Replay, st.apply); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -349,8 +124,6 @@ func (st *State) apply(rec Record) error {
 				st.Pending[rec.Key] = rec.Attempt
 			}
 		}
-	case kindHeader:
-		return fmt.Errorf("second header record")
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
@@ -359,86 +132,23 @@ func (st *State) apply(rec Record) error {
 
 // Resume reopens the journal at path for a continued run: it replays
 // the existing records (tolerating a torn tail), verifies the header
-// names the same tool, then writes a compacted checkpoint — header plus
-// one done record per completed task — to a temp file and atomically
-// renames it over the journal before reopening for append. The
-// checkpoint bounds journal growth across repeated crashes and
-// guarantees the resumed file starts from a clean, fully-terminated
-// prefix. Returns the reopened journal and the replayed state.
+// names the same tool and meta, and compacts the file to the header
+// plus one done record per completed task before reopening it for
+// append (durable.JournalFormat.Resume). Returns the reopened journal
+// and the replayed state.
 func Resume(path, tool string, meta map[string]string) (*Journal, *State, error) {
 	return ResumeFS(nil, path, tool, meta)
 }
 
 // ResumeFS is Resume on an injectable filesystem (nil = the real one).
 func ResumeFS(fsys durable.FS, path, tool string, meta map[string]string) (*Journal, *State, error) {
-	fsys = durable.Or(fsys)
-	durable.SweepStale(fsys, filepath.Dir(path))
 	st, err := LoadFS(fsys, path)
 	if err != nil {
 		return nil, nil, err
 	}
-	if st.Tool != tool {
-		return nil, nil, runx.Newf(runx.KindCorrupt, stageJournal,
-			"journal %s was recorded by %q, not %q", path, st.Tool, tool)
-	}
-	for k, v := range st.Meta {
-		if want, ok := meta[k]; ok && want != v {
-			return nil, nil, runx.Newf(runx.KindInvalidInput, stageJournal,
-				"journal %s was recorded with %s=%q, this run has %q (pass a fresh -journal instead)", path, k, v, want)
-		}
-	}
-	tmp, err := durable.TempFile(fsys, path, "ckpt")
+	j, err := journalFormat.Resume(fsys, path, tool, meta, &st.Replay)
 	if err != nil {
-		return nil, nil, runx.Newf(journalOpenKind(err), stageJournal, "checkpoint temp: %w", err)
+		return nil, nil, err
 	}
-	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
-	w := bufio.NewWriter(tmp)
-	writeRec := func(rec Record) error {
-		line, err := encodeRecord(rec)
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(line)
-		return err
-	}
-	if err := writeRec(Record{Kind: kindHeader, Version: JournalVersion, Tool: st.Tool, Meta: st.Meta}); err == nil {
-		keys := make([]string, 0, len(st.Done))
-		for k := range st.Done {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			if err = writeRec(Record{Kind: KindDone, Key: k, Attempt: 1, Result: st.Done[k]}); err != nil {
-				break
-			}
-		}
-	}
-	if err == nil {
-		err = w.Flush()
-	}
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, nil, runx.Newf(journalWriteKind(err), stageJournal, "write checkpoint: %w", err)
-	}
-	if err := durable.RenameAndSync(fsys, tmp.Name(), path); err != nil {
-		return nil, nil, runx.Newf(journalWriteKind(err), stageJournal, "swap checkpoint: %w", err)
-	}
-	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, runx.Newf(journalOpenKind(err), stageJournal, "reopen %s: %w", path, err)
-	}
-	return &Journal{fsys: fsys, f: f, path: path}, st, nil
-}
-
-// WriteFileAtomic writes data to path via a same-directory temp file,
-// fsync, rename, and parent fsync, recording a ".sha256" digest
-// sidecar alongside. Kept as a thin wrapper over durable for existing
-// callers; new code should call durable.WriteFileAtomic with its FS.
-func WriteFileAtomic(path string, data []byte) error {
-	return durable.WriteFileAtomic(nil, path, data)
+	return j, st, nil
 }

@@ -228,17 +228,3 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 		t.Errorf("mismatched meta accepted: %v", err)
 	}
 }
-
-func TestWriteFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	if err := WriteFileAtomic(path, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "world" {
-		t.Errorf("read back %q, %v", got, err)
-	}
-}
