@@ -9,10 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deesim/internal/bench"
@@ -189,46 +187,22 @@ type WorkerStatus struct {
 	LastBeat string `json:"last_beat"` // staleness, e.g. "1.2s"
 }
 
-// sweep is the in-memory record of one distributed sweep; mutable
-// fields are guarded by Coordinator.mu.
-type sweep struct {
-	id         string
-	spec       server.Spec
-	state      string
-	enqueued   time.Time // when the sweep entered the queue (queue-wait span)
-	cellsDone  int
-	cellsTotal int
-	resumed    bool
-	errText    string
-	errKind    string
-}
-
-// traceCtx parses the trace context persisted with the sweep's spec.
-func (sw *sweep) traceCtx() (obs.TraceContext, bool) {
-	return obs.ParseTraceparent(sw.spec.Trace)
-}
-
 // Coordinator is the distributed-sweep control plane. Create with New,
 // start the runner with Start, serve Handler() over HTTP, stop with
 // Drain. Sweeps run one at a time — the fleet is the parallelism.
 type Coordinator struct {
+	*server.Store // sweeps/<id>/ records, recovery, status and the HTTP envelope
+
 	cfg        Config
 	met        *coordMetrics
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	// degraded is set when a durable write hits ENOSPC; the
-	// coordinator sheds new sweeps until a probe write succeeds.
-	degraded atomic.Bool
-
 	mu          sync.Mutex
 	workers     map[string]*worker
 	wseq        int
-	sweeps      map[string]*sweep
-	order       []string
 	waiting     int
-	seq         int
-	queue       chan *sweep
+	queue       chan *server.Record
 	queueClosed bool
 	draining    bool
 	running     map[string]context.CancelFunc
@@ -241,13 +215,6 @@ type Coordinator struct {
 // incomplete ones re-queue and resume from their journals.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.StateDir == "" {
-		return nil, runx.Newf(runx.KindInvalidInput, stageCoord, "empty state directory")
-	}
-	if err := cfg.FS.MkdirAll(filepath.Join(cfg.StateDir, "sweeps"), 0o755); err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageCoord, "state dir: %w", err)
-	}
-	cfg.FS.SyncDir(cfg.StateDir)
 	if cfg.NewWorkerClient == nil {
 		cfg.NewWorkerClient = func(baseURL string) WorkerClient {
 			c := client.New(baseURL)
@@ -266,111 +233,32 @@ func New(cfg Config) (*Coordinator, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		workers:    make(map[string]*worker),
-		sweeps:     make(map[string]*sweep),
 		running:    make(map[string]context.CancelFunc),
 	}
-	pending, err := c.recover()
+	// A corrupt result found on read is only quarantined: the next
+	// restart's recovery re-runs the sweep, replaying its cells from the
+	// coordinator journal, so no Heal hook.
+	store, pending, err := server.NewStore(server.StoreConfig{
+		Root: cfg.StateDir, Daemon: "deesim-coord", Noun: "sweep", Stage: stageCoord,
+		DegradedNote: "shedding new sweeps, acked state intact",
+		RetryAfter:   cfg.RetryAfter, FS: cfg.FS, Logf: cfg.Logf, Logger: cfg.Logger, Frags: cfg.Frags,
+		ObserveHTTP: c.met.httpRequest,
+		Counters: server.StoreCounters{
+			Done: c.met.sweepsDone, Failed: c.met.sweepsFailed,
+			Quarantined: c.met.quarantined, Healed: c.met.healed, LowDisk: c.met.lowDisk,
+		},
+	})
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	c.queue = make(chan *sweep, cfg.QueueDepth+len(pending)+1)
+	c.Store = store
+	c.queue = make(chan *server.Record, cfg.QueueDepth+len(pending)+1)
 	for _, sw := range pending {
 		c.waiting++
 		c.queue <- sw
 	}
 	return c, nil
-}
-
-// recover scans the sweeps directory, mirroring the worker daemon's
-// crash recovery: done and failed sweeps are indexed, anything else is
-// re-queued for journal resumption.
-func (c *Coordinator) recover() ([]*sweep, error) {
-	fsys := c.cfg.FS
-	dir := filepath.Join(c.cfg.StateDir, "sweeps")
-	durable.SweepStale(fsys, dir)
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageCoord, "scan %s: %w", dir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() && e.Name() != durable.QuarantineDir {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var pending []*sweep
-	for _, id := range names {
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "s")); err == nil && n > c.seq {
-			c.seq = n
-		}
-		sdir := filepath.Join(dir, id)
-		durable.SweepStale(fsys, sdir)
-		specData, err := durable.ReadFileVerified(fsys, filepath.Join(sdir, "spec.json"))
-		if err != nil {
-			if runx.IsKind(err, runx.KindCorrupt) {
-				qp, _ := durable.Quarantine(fsys, filepath.Join(sdir, "spec.json"))
-				c.met.quarantined.Inc()
-				c.cfg.Logf("deesim-coord: recovery: sweep %s spec corrupt, quarantined to %s: %v", id, qp, err)
-			} else {
-				c.cfg.Logf("deesim-coord: recovery: sweep %s has no readable spec, skipping: %v", id, err)
-			}
-			continue
-		}
-		var sp server.Spec
-		if err := json.Unmarshal(specData, &sp); err != nil {
-			c.cfg.Logf("deesim-coord: recovery: sweep %s spec unparsable, skipping: %v", id, err)
-			continue
-		}
-		sw := &sweep{id: id, spec: sp, cellsTotal: sp.CellsTotal()}
-		switch {
-		case c.verifyOrQuarantine(sw, filepath.Join(sdir, "result.json")):
-			sw.state = server.StateDone
-			sw.cellsDone = sw.cellsTotal
-		case c.verifyOrQuarantine(sw, filepath.Join(sdir, "failed.json")):
-			sw.state = server.StateFailed
-			var f struct{ Error, Kind string }
-			if data, err := fsys.ReadFile(filepath.Join(sdir, "failed.json")); err == nil {
-				if json.Unmarshal(data, &f) == nil {
-					sw.errText, sw.errKind = f.Error, f.Kind
-				}
-			}
-		default:
-			sw.state = server.StateQueued
-			sw.resumed = true
-			pending = append(pending, sw)
-		}
-		c.sweeps[id] = sw
-		c.order = append(c.order, id)
-	}
-	if len(pending) > 0 {
-		c.cfg.Logf("deesim-coord: recovery: re-queued %d incomplete sweep(s)", len(pending))
-	}
-	return pending, nil
-}
-
-// verifyOrQuarantine reports whether a terminal-state artifact exists
-// and passes its digest check; a corrupt one is quarantined and
-// reported absent, which re-queues the sweep — cells replay from the
-// coordinator journal and only the damaged merge re-runs.
-func (c *Coordinator) verifyOrQuarantine(sw *sweep, path string) bool {
-	if _, err := c.cfg.FS.Stat(path); err != nil {
-		return false
-	}
-	if _, err := durable.ReadFileVerified(c.cfg.FS, path); err != nil {
-		qp, qerr := durable.Quarantine(c.cfg.FS, path)
-		if qerr != nil {
-			c.cfg.Logf("deesim-coord: sweep %s: %s corrupt and quarantine failed (%v); treating as absent: %v", sw.id, filepath.Base(path), qerr, err)
-			return false
-		}
-		c.met.quarantined.Inc()
-		c.met.healed.Inc()
-		durable.NoteHealed()
-		c.cfg.Logf("deesim-coord: sweep %s: %s failed integrity check, quarantined to %s; sweep will re-run: %v", sw.id, filepath.Base(path), qp, err)
-		return false
-	}
-	return true
 }
 
 // Start launches the sweep runner. Call once.
@@ -388,51 +276,52 @@ func (c *Coordinator) runner() {
 			continue // durable on disk; the next process resumes it
 		}
 		c.waiting--
-		sw.state = server.StateRunning
-		sw.cellsDone = 0
-		enqueued := sw.enqueued
+		enqueued := c.Begin(sw)
 		ctx, cancel := context.WithCancel(c.baseCtx)
-		c.running[sw.id] = cancel
+		c.running[sw.ID] = cancel
 		c.mu.Unlock()
 
-		if tc, ok := sw.traceCtx(); ok && !enqueued.IsZero() {
+		if tc, ok := sw.TraceCtx(); ok && !enqueued.IsZero() {
 			_ = c.cfg.Frags.Append(obs.SpanFragment{
 				Trace: tc.TraceID, Span: tc.Child().SpanID, Parent: tc.SpanID,
-				Name:  "queue-wait " + sw.id,
+				Name:  "queue-wait " + sw.ID,
 				Start: enqueued.UnixNano(), End: time.Now().UnixNano(),
-				Attrs: map[string]string{"sweep": sw.id},
+				Attrs: map[string]string{"sweep": sw.ID},
 			})
 		}
 		err := c.runSweep(ctx, sw)
 		cancel()
-		c.finishSweep(sw, err)
+		c.mu.Lock()
+		delete(c.running, sw.ID)
+		c.mu.Unlock()
+		c.Finish(sw, err)
 	}
 }
 
 // runSweep executes one distributed sweep end to end: decompose,
 // lease/collect under the journal, then merge — and prove the merge.
-func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
+func (c *Coordinator) runSweep(ctx context.Context, sw *server.Record) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = runx.FromPanic(r, "coord.runSweep")
 		}
 	}()
-	ctx = obs.WithJobID(ctx, sw.id)
+	ctx = obs.WithJobID(ctx, sw.ID)
 	// Rejoin the trace the submission minted: the sweep span is the
 	// coordinator's dispatch-to-merge record under the submission root,
 	// and every lease span below nests under it.
-	if tc, ok := sw.traceCtx(); ok {
+	if tc, ok := sw.TraceCtx(); ok {
 		ctx = obs.WithTraceContext(ctx, tc)
 		ctx = obs.WithFragments(ctx, c.cfg.Frags)
 		var endSweep func()
-		ctx, endSweep = obs.StartSpan(ctx, "sweep "+sw.id, map[string]string{"sweep": sw.id})
+		ctx, endSweep = obs.StartSpan(ctx, "sweep "+sw.ID, map[string]string{"sweep": sw.ID})
 		defer endSweep()
 	}
-	ws, cfg, err := sw.spec.Resolve()
+	ws, cfg, err := sw.Spec.Resolve()
 	if err != nil {
 		return err
 	}
-	timeout, err := parseSpecDuration("timeout", sw.spec.Timeout)
+	timeout, err := parseSpecDuration("timeout", sw.Spec.Timeout)
 	if err != nil {
 		return err
 	}
@@ -441,7 +330,7 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	deadline, err := sw.spec.ParseDeadline()
+	deadline, err := sw.Spec.ParseDeadline()
 	if err != nil {
 		return err
 	}
@@ -449,7 +338,7 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 		if !c.cfg.now().Before(deadline) {
 			c.met.deadlineTimeouts.Inc()
 			return runx.Newf(runx.KindTimeout, stageCoord,
-				"sweep %s: deadline %s already passed before dispatch", sw.id, deadline.Format(time.RFC3339))
+				"sweep %s: deadline %s already passed before dispatch", sw.ID, deadline.Format(time.RFC3339))
 		}
 		// The absolute SLO deadline rides the sweep context, so every
 		// outstanding lease RPC is cancelled the moment it passes; the
@@ -462,14 +351,14 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 			if err != nil && runx.IsKind(err, runx.KindTimeout) && !time.Now().Before(deadline) {
 				c.met.deadlineTimeouts.Inc()
 				err = runx.Newf(runx.KindTimeout, stageCoord,
-					"sweep %s exceeded its deadline %s: %w", sw.id, deadline.Format(time.RFC3339), err)
+					"sweep %s exceeded its deadline %s: %w", sw.ID, deadline.Format(time.RFC3339), err)
 			}
 		}()
 	}
 
 	tasks := experiments.MatrixTasks(ws, cfg)
 	meta := experiments.MatrixMeta(ws, cfg)
-	jpath := filepath.Join(c.sweepDir(sw.id), "coord.journal")
+	jpath := filepath.Join(c.Dir(sw.ID), "coord.journal")
 	var (
 		jr    *Journal
 		prior *State
@@ -480,22 +369,15 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 			if runx.IsKind(err, runx.KindUnavailable) {
 				return err // disk full, not damage: park for resume
 			}
-			// Same self-healing rule as the worker daemon: an unusable
-			// journal carries no trustworthy progress, and cells are
-			// deterministic — but the evidence is quarantined, never
-			// deleted.
-			qp, qerr := durable.Quarantine(c.cfg.FS, jpath)
+			qp, qerr := c.QuarantineJournal(sw.ID, jpath, err)
 			if qerr != nil {
-				return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: journal unusable (%v) and quarantine failed: %v", sw.id, err, qerr)
+				return qerr
 			}
-			c.met.quarantined.Inc()
-			c.met.healed.Inc()
-			durable.NoteHealed()
-			c.cfg.Logf("deesim-coord: sweep %s: journal unusable (%v), quarantined to %s, restarting from scratch", sw.id, err, qp)
+			c.cfg.Logf("deesim-coord: sweep %s: journal unusable (%v), quarantined to %s, restarting from scratch", sw.ID, err, qp)
 			jr, prior = nil, nil
 		} else {
 			c.met.sweepsResumed.Inc()
-			c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", sw.id, prior.Summary(len(tasks)))
+			c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", sw.ID, prior.Summary(len(tasks)))
 		}
 	}
 	if jr == nil {
@@ -546,84 +428,31 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 // then writes the result file with the identical final encoding. That
 // construction, plus the completeness check below, is the merge proof:
 // there is no coordinator-specific math to diverge.
-func (c *Coordinator) mergeAndWrite(ctx context.Context, sw *sweep, ws []bench.Workload, cfg experiments.Config, tasks []experiments.MatrixTask, done map[string]json.RawMessage) error {
-	ctx, endMerge := obs.StartSpan(ctx, "merge "+sw.id, map[string]string{"sweep": sw.id})
+func (c *Coordinator) mergeAndWrite(ctx context.Context, sw *server.Record, ws []bench.Workload, cfg experiments.Config, tasks []experiments.MatrixTask, done map[string]json.RawMessage) error {
+	ctx, endMerge := obs.StartSpan(ctx, "merge "+sw.ID, map[string]string{"sweep": sw.ID})
 	defer endMerge()
 	for _, t := range tasks {
 		if _, ok := done[t.Key()]; !ok {
-			return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", sw.id, t.Key())
+			return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", sw.ID, t.Key())
 		}
 	}
 	prior := &superv.State{Replay: durable.Replay{Done: done}}
 	results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{Jobs: 1, Prior: prior})
 	if err != nil {
-		return runx.Annotate(err, "sweep "+sw.id+" merge")
+		return runx.Annotate(err, "sweep "+sw.ID+" merge")
 	}
 	c.met.mergeChecks.Inc()
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		return runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", sw.id, err)
+		return runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", sw.ID, err)
 	}
-	if err := durable.WriteFileAtomic(c.cfg.FS, filepath.Join(c.sweepDir(sw.id), "result.json"), append(data, '\n')); err != nil {
+	if err := durable.WriteFileAtomic(c.cfg.FS, c.ResultPath(sw.ID), append(data, '\n')); err != nil {
 		if durable.IsNoSpace(err) {
-			return runx.Newf(runx.KindUnavailable, stageCoord, "sweep %s: write result: %w", sw.id, err)
+			return runx.Newf(runx.KindUnavailable, stageCoord, "sweep %s: write result: %w", sw.ID, err)
 		}
-		return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: write result: %w", sw.id, err)
+		return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: write result: %w", sw.ID, err)
 	}
 	return nil
-}
-
-// finishSweep mirrors the worker daemon's terminal-state rules: a
-// canceled sweep stays journaled and resumes on restart; every other
-// failure is permanent and recorded so restarts do not retry
-// deterministic errors.
-func (c *Coordinator) finishSweep(sw *sweep, err error) {
-	c.mu.Lock()
-	delete(c.running, sw.id)
-	if err == nil {
-		sw.state = server.StateDone
-		c.mu.Unlock()
-		c.met.sweepsDone.Inc()
-		c.cfg.Logf("deesim-coord: sweep %s: done (%d cells)", sw.id, sw.cellsTotal)
-		return
-	}
-	sw.errText = err.Error()
-	if e, ok := runx.As(err); ok {
-		sw.errKind = e.Kind.String()
-	}
-	if runx.IsKind(err, runx.KindCanceled) || durable.IsNoSpace(err) {
-		// Canceled (drain) and disk-full both park the sweep as
-		// interrupted: the journal's durable prefix is intact and the
-		// sweep resumes without re-running leased cells. A worker-side
-		// KindUnavailable still fails normally below.
-		sw.state = server.StateInterrupted
-		c.mu.Unlock()
-		if durable.IsNoSpace(err) {
-			c.setDegraded(true)
-		}
-		c.cfg.Logf("deesim-coord: sweep %s: interrupted, journaled for resume: %v", sw.id, err)
-		return
-	}
-	// As in the worker daemon, the marker must be durable before
-	// StateFailed is observable: anyone who sees the state must also
-	// see failed.json.
-	kind, errText := sw.errKind, sw.errText
-	c.mu.Unlock()
-	data, _ := json.Marshal(struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind,omitempty"`
-	}{errText, kind})
-	if werr := durable.WriteFileAtomic(c.cfg.FS, filepath.Join(c.sweepDir(sw.id), "failed.json"), append(data, '\n')); werr != nil {
-		if durable.IsNoSpace(werr) {
-			c.setDegraded(true)
-		}
-		c.cfg.Logf("deesim-coord: sweep %s: could not record failure: %v", sw.id, werr)
-	}
-	c.mu.Lock()
-	sw.state = server.StateFailed
-	c.mu.Unlock()
-	c.met.sweepsFailed.Inc()
-	c.cfg.Logf("deesim-coord: sweep %s: failed permanently: %v", sw.id, err)
 }
 
 // Submit admits a distributed sweep with the worker daemon's admission
@@ -632,20 +461,12 @@ func (c *Coordinator) Submit(sp server.Spec) (*server.JobStatus, error) {
 	return c.SubmitCtx(context.Background(), sp)
 }
 
-// SubmitCtx is Submit carrying the caller's context; like the worker
-// daemon, the submission settles the sweep's trace — spec's own, else
-// the request's, else freshly minted — and persists it with the spec,
-// so every lease the fleet runs records under one trace id.
+// SubmitCtx is Submit carrying the caller's context, from which
+// Store.Create settles the sweep's trace, so every lease the fleet runs
+// records under one trace id.
 func (c *Coordinator) SubmitCtx(ctx context.Context, sp server.Spec) (*server.JobStatus, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	if _, ok := obs.ParseTraceparent(sp.Trace); !ok {
-		tc, ok := obs.TraceContextFrom(ctx)
-		if !ok {
-			tc = obs.NewTrace()
-		}
-		sp.Trace = tc.Traceparent()
 	}
 	if dl, err := sp.ParseDeadline(); err == nil && !dl.IsZero() && !c.cfg.now().Before(dl) {
 		// A sweep whose deadline already passed is doomed: refuse it now,
@@ -654,9 +475,8 @@ func (c *Coordinator) SubmitCtx(ctx context.Context, sp server.Spec) (*server.Jo
 		return nil, runx.Newf(runx.KindTimeout, stageCoord,
 			"deadline %s already passed at submission", dl.Format(time.RFC3339))
 	}
-	if c.Degraded() {
-		return nil, runx.Newf(runx.KindUnavailable, stageCoord,
-			"low disk: shedding new sweeps until durable writes succeed; retry after %s", c.cfg.RetryAfter)
+	if err := c.LowDiskErr(); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	if c.draining {
@@ -668,88 +488,20 @@ func (c *Coordinator) SubmitCtx(ctx context.Context, sp server.Spec) (*server.Jo
 		return nil, runx.Newf(runx.KindOverload, stageCoord,
 			"admission queue full (%d waiting); retry after %s", c.cfg.QueueDepth, c.cfg.RetryAfter)
 	}
-	c.seq++
-	id := fmt.Sprintf("s%06d", c.seq)
-	sw := &sweep{id: id, spec: sp, state: server.StateQueued, enqueued: time.Now(), cellsTotal: sp.CellsTotal()}
-	c.sweeps[id] = sw
-	c.order = append(c.order, id)
 	c.waiting++
 	c.mu.Unlock()
 
-	specData, err := json.MarshalIndent(sp, "", "  ")
-	if err == nil {
-		if err = c.cfg.FS.MkdirAll(c.sweepDir(id), 0o755); err == nil {
-			// fsync the parent so the new directory entry is durable
-			// before the spec rename that depends on it.
-			c.cfg.FS.SyncDir(filepath.Join(c.cfg.StateDir, "sweeps"))
-			err = durable.WriteFileAtomic(c.cfg.FS, filepath.Join(c.sweepDir(id), "spec.json"), append(specData, '\n'))
-		}
-	}
-	if err != nil {
-		c.mu.Lock()
-		delete(c.sweeps, id)
-		c.order = c.order[:len(c.order)-1]
-		c.waiting--
-		c.mu.Unlock()
-		if durable.IsNoSpace(err) {
-			c.setDegraded(true)
-			return nil, runx.Newf(runx.KindUnavailable, stageCoord, "persist sweep %s: %w", id, err)
-		}
-		return nil, runx.Newf(runx.KindCorrupt, stageCoord, "persist sweep %s: %w", id, err)
-	}
-
+	sw, err := c.Create(ctx, sp)
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err != nil {
+		c.waiting--
+		return nil, err
+	}
 	if !c.queueClosed {
 		c.queue <- sw
 	}
-	st := sweepStatus(sw)
-	c.mu.Unlock()
-	c.cfg.Logf("deesim-coord: sweep %s: accepted (%d cells)", id, sw.cellsTotal)
-	return st, nil
-}
-
-// Status returns one sweep's status snapshot.
-func (c *Coordinator) Status(id string) (*server.JobStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sw, ok := c.sweeps[id]
-	if !ok {
-		return nil, false
-	}
-	return sweepStatus(sw), true
-}
-
-// List returns every sweep's status in submission order.
-func (c *Coordinator) List() []*server.JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*server.JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, sweepStatus(c.sweeps[id]))
-	}
-	return out
-}
-
-func sweepStatus(sw *sweep) *server.JobStatus {
-	st := &server.JobStatus{
-		ID:         sw.id,
-		State:      sw.state,
-		CellsDone:  sw.cellsDone,
-		CellsTotal: sw.cellsTotal,
-		Resumed:    sw.resumed,
-		Error:      sw.errText,
-		Kind:       sw.errKind,
-		Deadline:   sw.spec.Deadline,
-	}
-	if sw.spec.Priority != "" {
-		st.Priority = sw.spec.Class()
-	}
-	return st
-}
-
-// ResultPath returns the path of a done sweep's result file.
-func (c *Coordinator) ResultPath(id string) string {
-	return filepath.Join(c.sweepDir(id), "result.json")
+	return c.Snapshot(sw), nil
 }
 
 // Draining reports whether drain has begun.
@@ -819,52 +571,6 @@ func (c *Coordinator) Close() {
 	c.mu.Unlock()
 	c.baseCancel()
 	c.wg.Wait()
-}
-
-func (c *Coordinator) sweepDir(id string) string {
-	return filepath.Join(c.cfg.StateDir, "sweeps", id)
-}
-
-// Degraded reports whether the coordinator is in low-disk degraded
-// mode, probing its way back out with a tiny durable write.
-func (c *Coordinator) Degraded() bool {
-	if !c.degraded.Load() {
-		return false
-	}
-	if c.probeDisk() {
-		c.setDegraded(false)
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) setDegraded(on bool) {
-	was := c.degraded.Swap(on)
-	if was == on {
-		return
-	}
-	if on {
-		c.met.lowDisk.Set(1)
-		durable.SetLowDisk(true)
-		c.cfg.Logf("deesim-coord: durable write hit ENOSPC; entering degraded mode (shedding new sweeps, acked state intact)")
-	} else {
-		c.met.lowDisk.Set(0)
-		durable.SetLowDisk(false)
-		c.cfg.Logf("deesim-coord: disk probe succeeded; leaving degraded mode")
-	}
-}
-
-func (c *Coordinator) probeDisk() bool {
-	path := filepath.Join(c.cfg.StateDir, ".diskprobe")
-	f, err := c.cfg.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false
-	}
-	_, werr := f.Write([]byte("ok\n"))
-	serr := f.Sync()
-	cerr := f.Close()
-	c.cfg.FS.Remove(path)
-	return werr == nil && serr == nil && cerr == nil
 }
 
 func fileExists(path string) bool {
@@ -1019,12 +725,5 @@ func (c *Coordinator) adjustLeases(workerID string, delta int) {
 			w.leases = 0
 		}
 	}
-	c.mu.Unlock()
-}
-
-// noteCellDone bumps a sweep's progress counter for the status API.
-func (c *Coordinator) noteCellDone(sw *sweep) {
-	c.mu.Lock()
-	sw.cellsDone++
 	c.mu.Unlock()
 }

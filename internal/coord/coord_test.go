@@ -380,7 +380,7 @@ func TestDuplicateResolution(t *testing.T) {
 	}
 	defer jr.Close()
 	s := &scheduler{
-		c: c, sw: &sweep{id: "s000001"}, jr: jr,
+		c: c, sw: &server.Record{ID: "s000001"}, jr: jr,
 		leases: make(map[string]*lease),
 		byKey:  make(map[string]int),
 		done:   make(map[string]json.RawMessage),
@@ -435,7 +435,7 @@ func TestNonRetryableCellFailsSweep(t *testing.T) {
 	if final.Kind != runx.KindInvalidInput.String() {
 		t.Errorf("failure kind = %q, want %q", final.Kind, runx.KindInvalidInput.String())
 	}
-	if !fileExists(filepath.Join(c.sweepDir(st.ID), "failed.json")) {
+	if !fileExists(filepath.Join(c.Dir(st.ID), "failed.json")) {
 		t.Error("permanent failure not recorded to failed.json")
 	}
 	if got := counter(c, "deesim_coord_cells_failed_total"); got == 0 {

@@ -1,16 +1,11 @@
 package coord
 
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"strconv"
-	"time"
 
-	"deesim/internal/durable"
-	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/server"
 )
@@ -51,76 +46,24 @@ type HeartbeatRequest struct {
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", c.wrap("submit", c.handleSubmit))
-	mux.HandleFunc("GET /v1/jobs", c.wrap("list", c.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", c.wrap("status", c.handleStatus))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", c.wrap("result", c.handleResult))
+	mux.HandleFunc("GET /v1/jobs", c.wrap("list", c.HandleList))
+	mux.HandleFunc("GET /v1/jobs/{id}", c.wrap("status", c.HandleStatus))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", c.wrap("result", c.HandleResult))
 	mux.HandleFunc("POST /v1/workers", c.wrap("register", c.handleRegister))
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", c.wrap("heartbeat", c.handleHeartbeat))
 	mux.HandleFunc("GET /v1/workers", c.wrap("fleet", c.handleFleet))
 	mux.HandleFunc("GET /v1/trace/{id}", c.wrap("trace", c.handleTrace))
-	mux.HandleFunc("GET /healthz", c.wrap("healthz", c.handleHealthz))
+	mux.HandleFunc("GET /healthz", c.wrap("healthz", server.HandleHealthz))
 	mux.HandleFunc("GET /readyz", c.wrap("readyz", c.handleReadyz))
 	mux.HandleFunc("GET /metrics", c.wrap("metrics", c.handleMetrics))
-	mux.HandleFunc("GET /versionz", c.wrap("versionz", c.handleVersionz))
+	mux.HandleFunc("GET /versionz", c.wrap("versionz", server.HandleVersionz))
 	return mux
 }
 
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// wrap mirrors the worker daemon's middleware: request deadline, panic
-// isolation, per-endpoint counters, one structured access-log line.
+// wrap is the shared request envelope (server.Store.Wrap) under the
+// API request deadline.
 func (c *Coordinator) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx, cancel := context.WithTimeout(r.Context(), c.cfg.RequestTimeout)
-		defer cancel()
-		// Extract the caller's trace: submissions carry it into the sweep
-		// (SubmitCtx persists it), and every access-log line under this
-		// request joins on the same trace_id.
-		if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-			ctx = obs.WithTraceContext(ctx, tc)
-			if c.cfg.Frags != nil {
-				ctx = obs.WithFragments(ctx, c.cfg.Frags)
-			}
-		}
-		r = r.WithContext(ctx)
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				err := runx.FromPanic(p, "coord."+r.Method+" "+r.URL.Path)
-				c.cfg.Logf("deesim-coord: %v", err)
-				c.writeError(rec, err)
-			}
-			if rec.status == 0 {
-				rec.status = http.StatusOK
-			}
-			d := time.Since(start)
-			c.met.httpRequest(endpoint, rec.status, d)
-			c.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "http request",
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Duration("duration", d))
-		}()
-		h(rec, r)
-	}
+	return c.Wrap(endpoint, c.cfg.RequestTimeout, h)
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -128,67 +71,15 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		c.writeError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "decode spec: %v", err))
+		c.WriteError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "decode spec: %v", err))
 		return
 	}
 	st, err := c.SubmitCtx(r.Context(), sp)
 	if err != nil {
-		c.writeError(w, err)
+		c.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.List())
-}
-
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := c.Status(r.PathValue("id"))
-	if !ok {
-		c.writeError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "unknown sweep %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := c.Status(id)
-	if !ok {
-		c.writeError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "unknown sweep %q", id))
-		return
-	}
-	switch st.State {
-	case server.StateDone:
-	case server.StateFailed:
-		c.writeError(w, runx.Newf(runx.KindFromString(st.Kind), stageCoord, "sweep %s failed: %s", id, st.Error))
-		return
-	default:
-		c.writeError(w, runx.Newf(runx.KindUnavailable, stageCoord, "sweep %s is %s (%d/%d cells)", id, st.State, st.CellsDone, st.CellsTotal))
-		return
-	}
-	data, err := durable.ReadFileVerified(c.cfg.FS, c.ResultPath(id))
-	if err != nil {
-		if runx.IsKind(err, runx.KindCorrupt) {
-			// Quarantine the damage; the next restart's recovery scan
-			// sees no result and re-runs the sweep (cells replay from
-			// the coordinator journal, so only the merge re-executes).
-			if qp, qerr := durable.Quarantine(c.cfg.FS, c.ResultPath(id)); qerr == nil {
-				c.met.quarantined.Inc()
-				c.cfg.Logf("deesim-coord: sweep %s: result failed integrity check, quarantined to %s: %v", id, qp, err)
-			}
-			c.writeError(w, runx.Newf(runx.KindUnavailable, stageCoord,
-				"sweep %s result failed integrity check; quarantined, restart to re-run", id))
-			return
-		}
-		c.writeError(w, runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s result unreadable: %v", id, err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(durable.DigestHeader, durable.Digest(data))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
+	server.WriteJSON(w, http.StatusAccepted, st)
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
@@ -196,15 +87,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		c.writeError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "decode register request: %v", err))
+		c.WriteError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "decode register request: %v", err))
 		return
 	}
 	id, every, err := c.RegisterWorker(req.URL, req.Slots)
 	if err != nil {
-		c.writeError(w, err)
+		c.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, RegisterResponse{ID: id, HeartbeatEvery: every.String()})
+	server.WriteJSON(w, http.StatusOK, RegisterResponse{ID: id, HeartbeatEvery: every.String()})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -212,60 +103,30 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		c.writeError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "decode heartbeat: %v", err))
+		c.WriteError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "decode heartbeat: %v", err))
 		return
 	}
 	if err := c.HeartbeatWorker(r.PathValue("id"), req.State, req.Inflight); err != nil {
-		c.writeError(w, err)
+		c.WriteError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleFleet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Fleet())
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, c.Fleet())
 }
 
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c.Draining() {
 		w.Header().Set("Retry-After", strconv.Itoa(int((c.cfg.RetryAfter).Seconds()+0.5)))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		server.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	server.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = c.met.reg.WritePrometheus(w)
-}
-
-func (c *Coordinator) handleVersionz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.Version())
-}
-
-func (c *Coordinator) writeError(w http.ResponseWriter, err error) {
-	kind := runx.KindUnknown
-	if e, ok := runx.As(err); ok {
-		kind = e.Kind
-	}
-	if kind == runx.KindOverload || kind == runx.KindUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((c.cfg.RetryAfter).Seconds()+0.5)))
-	}
-	writeJSON(w, kind.HTTPStatus(), struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind"`
-	}{err.Error(), kind.String()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

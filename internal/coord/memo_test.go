@@ -86,7 +86,7 @@ func TestCoordRecordsFleetResultsAndPrefillsRepeat(t *testing.T) {
 	// Crash safety: each prefilled cell is a fsync'd done record from
 	// pseudo-worker "memo" in the warm sweep's journal, so a coordinator
 	// killed mid-sweep still resumes without re-dispatching them.
-	jpath := filepath.Join(c.sweepDir(st2.ID), "coord.journal")
+	jpath := filepath.Join(c.Dir(st2.ID), "coord.journal")
 	stt, err := LoadFS(nil, jpath)
 	if err != nil {
 		t.Fatal(err)

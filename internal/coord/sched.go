@@ -61,7 +61,7 @@ type completion struct {
 // shared.
 type scheduler struct {
 	c        *Coordinator
-	sw       *sweep
+	sw       *server.Record
 	jr       *Journal
 	retry    superv.RetryPolicy
 	max      int       // lease grants per cell before the sweep fails
@@ -87,13 +87,13 @@ type scheduler struct {
 	memoKeys map[string]string
 }
 
-func newScheduler(c *Coordinator, sw *sweep, tasks []experiments.MatrixTask, jr *Journal, prior *State) *scheduler {
-	retries := sw.spec.Retries
+func newScheduler(c *Coordinator, sw *server.Record, tasks []experiments.MatrixTask, jr *Journal, prior *State) *scheduler {
+	retries := sw.Spec.Retries
 	if retries <= 0 {
 		retries = c.cfg.CellRetries
 	}
 	backoff := c.cfg.Backoff
-	if d, err := parseSpecDuration("backoff", sw.spec.Backoff); err == nil && d > 0 {
+	if d, err := parseSpecDuration("backoff", sw.Spec.Backoff); err == nil && d > 0 {
 		backoff = d
 	}
 	s := &scheduler{
@@ -108,7 +108,7 @@ func newScheduler(c *Coordinator, sw *sweep, tasks []experiments.MatrixTask, jr 
 		done:   make(map[string]json.RawMessage),
 		events: make(chan completion),
 	}
-	if dl, err := sw.spec.ParseDeadline(); err == nil {
+	if dl, err := sw.Spec.ParseDeadline(); err == nil {
 		s.deadline = dl
 	}
 	if prior != nil {
@@ -121,7 +121,7 @@ func newScheduler(c *Coordinator, sw *sweep, tasks []experiments.MatrixTask, jr 
 		if _, ok := s.done[key]; ok {
 			// Journal-replayed cell: already durable; count it for the
 			// status API without re-dispatching.
-			s.c.noteCellDone(sw)
+			s.c.CellDone(sw)
 			continue
 		}
 		s.pending = append(s.pending, &cellState{task: t, key: key})
@@ -251,7 +251,7 @@ func (s *scheduler) reorder(ws []*workerSnap) []*workerSnap {
 // dispatch RPC.
 func (s *scheduler) grant(task experiments.MatrixTask, key string, w *workerSnap, attempt int, speculative bool) error {
 	s.leaseSeq++
-	id := fmt.Sprintf("%s-l%05d", s.sw.id, s.leaseSeq)
+	id := fmt.Sprintf("%s-l%05d", s.sw.ID, s.leaseSeq)
 	now := s.c.cfg.now()
 	if err := s.jr.Append(Record{
 		Kind: KindAssign, Key: key, Worker: w.id, Lease: id,
@@ -277,7 +277,7 @@ func (s *scheduler) grant(task experiments.MatrixTask, key string, w *workerSnap
 	sctx, endSpan := obs.StartSpan(ctx, "lease "+key, map[string]string{
 		"lease": id, "worker": w.id, "attempt": strconv.Itoa(attempt),
 	})
-	req := server.CellRequest{Spec: s.sw.spec, Task: task, Lease: id}
+	req := server.CellRequest{Spec: s.sw.Spec, Task: task, Lease: id}
 	if tc, ok := obs.TraceContextFrom(sctx); ok && tc.Sampled {
 		req.Traceparent = tc.Traceparent()
 	}
@@ -319,13 +319,13 @@ func (s *scheduler) expireLeases() {
 		s.dropLease(l)
 		s.c.met.leaseExpiries.Inc()
 		obs.RecordFlight("lease-expire", l.key, map[string]string{
-			"lease": id, "worker": l.workerID, "reason": reason, "sweep": s.sw.id,
+			"lease": id, "worker": l.workerID, "reason": reason, "sweep": s.sw.ID,
 		})
 		_ = s.jr.Append(Record{
 			Kind: KindExpire, Key: l.key, Worker: l.workerID, Lease: id,
 			Attempt: l.attempt, Reason: reason,
 		})
-		s.c.cfg.Logf("deesim-coord: sweep %s: lease %s (%s on %s) expired: %s", s.sw.id, id, l.key, l.workerID, reason)
+		s.c.cfg.Logf("deesim-coord: sweep %s: lease %s (%s on %s) expired: %s", s.sw.ID, id, l.key, l.workerID, reason)
 		s.requeue(l, runx.Newf(runx.KindUnavailable, stageSched, "cell %s: %s", l.key, reason))
 	}
 }
@@ -381,7 +381,7 @@ func (s *scheduler) requeue(l *lease, cause error) {
 	})
 	s.c.met.redispatches.Inc()
 	obs.RecordFlight("redispatch", l.key, map[string]string{
-		"sweep": s.sw.id, "attempt": strconv.Itoa(l.attempt), "cause": cause.Error(),
+		"sweep": s.sw.ID, "attempt": strconv.Itoa(l.attempt), "cause": cause.Error(),
 	})
 }
 
@@ -420,7 +420,7 @@ func (s *scheduler) complete(ev completion) error {
 		s.c.met.cellsFailed.Inc()
 		return runx.Annotate(ev.err, "cell "+ev.key)
 	}
-	s.c.cfg.Logf("deesim-coord: sweep %s: cell %s attempt %d on %s failed (%v), re-dispatching", s.sw.id, ev.key, l.attempt, ev.workerID, ev.err)
+	s.c.cfg.Logf("deesim-coord: sweep %s: cell %s attempt %d on %s failed (%v), re-dispatching", s.sw.ID, ev.key, l.attempt, ev.workerID, ev.err)
 	s.requeue(l, ev.err)
 	return nil
 }
@@ -434,7 +434,7 @@ func (s *scheduler) completeOK(ev completion, l *lease, active bool) error {
 	if prev, ok := s.done[ev.key]; ok {
 		if bytes.Equal(normJSON(prev), normJSON(ev.payload)) {
 			s.c.met.dupDiscards.Inc()
-			s.c.cfg.Logf("deesim-coord: sweep %s: duplicate completion for %s from %s discarded (identical)", s.sw.id, ev.key, ev.workerID)
+			s.c.cfg.Logf("deesim-coord: sweep %s: duplicate completion for %s from %s discarded (identical)", s.sw.ID, ev.key, ev.workerID)
 			return nil
 		}
 		s.c.met.dupConflicts.Inc()
@@ -456,7 +456,7 @@ func (s *scheduler) completeOK(ev completion, l *lease, active bool) error {
 		}
 	}
 	s.c.met.cellsDone.Inc()
-	s.c.noteCellDone(s.sw)
+	s.c.CellDone(s.sw)
 	s.durations = append(s.durations, ev.took)
 	if active && l.speculative {
 		s.c.met.specWins.Inc()
@@ -501,7 +501,7 @@ func (s *scheduler) speculate() {
 		}
 		s.c.met.specLaunches.Inc()
 		s.c.cfg.Logf("deesim-coord: sweep %s: straggler %s on %s (%s > %s), speculating on %s",
-			s.sw.id, l.key, l.workerID, now.Sub(l.started).Round(time.Millisecond), threshold.Round(time.Millisecond), alt.id)
+			s.sw.ID, l.key, l.workerID, now.Sub(l.started).Round(time.Millisecond), threshold.Round(time.Millisecond), alt.id)
 		if err := s.grant(s.taskFor(l.key), l.key, alt, l.attempt, true); err != nil {
 			return
 		}

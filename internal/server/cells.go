@@ -59,17 +59,17 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cr); err != nil {
-		s.writeError(w, runx.Newf(runx.KindInvalidInput, stageServer, "decode cell request: %v", err))
+		s.WriteError(w, runx.Newf(runx.KindInvalidInput, stageServer, "decode cell request: %v", err))
 		return
 	}
 	if s.Draining() || s.Degraded() {
 		s.met.cellSheds.Inc()
-		s.writeError(w, runx.Newf(runx.KindUnavailable, stageServer, "draining: not accepting cells"))
+		s.WriteError(w, runx.Newf(runx.KindUnavailable, stageServer, "draining: not accepting cells"))
 		return
 	}
 	cellDeadline, err := cr.Spec.ParseDeadline()
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	if !cellDeadline.IsZero() && !time.Now().Before(cellDeadline) {
@@ -78,7 +78,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		// the sweep instead of re-dispatching the cell.
 		s.met.cellSheds.Inc()
 		s.met.deadlineTimeouts.Inc()
-		s.writeError(w, runx.Newf(runx.KindTimeout, stageServer,
+		s.WriteError(w, runx.Newf(runx.KindTimeout, stageServer,
 			"cell %s past its sweep deadline %s", cr.Task.Key(), cellDeadline.Format(time.RFC3339)))
 		return
 	}
@@ -87,7 +87,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		defer func() { <-s.cellSlots }()
 	default:
 		s.met.cellSheds.Inc()
-		s.writeError(w, runx.Newf(runx.KindOverload, stageServer,
+		s.WriteError(w, runx.Newf(runx.KindOverload, stageServer,
 			"all %d cell slots busy; retry after %s", cap(s.cellSlots), s.cfg.RetryAfter))
 		return
 	}
@@ -95,17 +95,17 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	defer func() { s.met.cellsInflight.Set(float64(atomic.AddInt64(&s.cellsActive, -1))) }()
 
 	if err := cr.Validate(); err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	ws, cfg, err := cr.Spec.resolve()
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	cellDelay, err := parseDuration("cell_delay", cr.Spec.CellDelay)
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CellTimeout)
@@ -141,7 +141,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	defer endSpan()
 	res, err := s.runCell(ctx, ws, cfg, cr.Task)
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	if cellDelay > 0 {
@@ -156,7 +156,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		t.Stop()
 	}
 	s.met.cellsServed.Inc()
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 // runCell executes the cell under panic isolation, so a poisoned cell

@@ -1,16 +1,13 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"time"
 
-	"deesim/internal/durable"
 	"deesim/internal/obs"
 	"deesim/internal/runx"
 )
@@ -40,15 +37,15 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs", s.wrap("submit", s.handleSubmit))
 	// The cell RPC runs a whole simulation inside the request, so it
 	// gets the cell deadline (plus shedding slack), not the API one.
-	mux.HandleFunc("POST /v1/cells", s.wrapTimeout("cell", s.cfg.CellTimeout+5*time.Second, s.handleCell))
-	mux.HandleFunc("GET /v1/jobs", s.wrap("list", s.handleList))
-	mux.HandleFunc("GET /v1/jobs/{id}", s.wrap("status", s.handleStatus))
-	mux.HandleFunc("GET /v1/jobs/{id}/result", s.wrap("result", s.handleResult))
-	mux.HandleFunc("GET /healthz", s.wrap("healthz", s.handleHealthz))
+	mux.HandleFunc("POST /v1/cells", s.Wrap("cell", s.cfg.CellTimeout+5*time.Second, s.handleCell))
+	mux.HandleFunc("GET /v1/jobs", s.wrap("list", s.HandleList))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.wrap("status", s.HandleStatus))
+	mux.HandleFunc("GET /v1/jobs/{id}/result", s.wrap("result", s.HandleResult))
+	mux.HandleFunc("GET /healthz", s.wrap("healthz", HandleHealthz))
 	mux.HandleFunc("GET /readyz", s.wrap("readyz", s.handleReadyz))
 	mux.HandleFunc("GET /metrics", s.wrap("metrics", s.handleMetrics))
 	mux.HandleFunc("GET /v1/tracefrag", s.wrap("tracefrag", s.handleTraceFrag))
-	mux.HandleFunc("GET /versionz", s.wrap("versionz", s.handleVersionz))
+	mux.HandleFunc("GET /versionz", s.wrap("versionz", HandleVersionz))
 	if s.cfg.Pprof {
 		// Registered without wrap: a CPU profile legitimately outlives
 		// the API request deadline, and pprof output is not JSON.
@@ -61,100 +58,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusRecorder captures the response status for the access log and
-// the request counters. A handler that never calls WriteHeader has
-// implicitly answered 200.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// accessEntry rides the request context so handlers can attach fields
-// the middleware cannot know — today just the job id a submission was
-// assigned. The middleware owns the struct; handlers only fill it.
-type accessEntry struct {
-	jobID string
-}
-
-type accessKey struct{}
-
-// setAccessJobID records the job id on the request's access-log entry.
-func setAccessJobID(ctx context.Context, id string) {
-	if e, ok := ctx.Value(accessKey{}).(*accessEntry); ok {
-		e.jobID = id
-	}
-}
-
-// wrap is the per-request middleware: a deadline on the request
-// context (the same cancellation surface runx-hardened code checks),
-// panic isolation (one bad handler invocation is a 500, not a dead
-// daemon), per-endpoint request counters and latency histograms, and
-// exactly one structured access-log line per request — shed (429) and
-// drain (503) responses included, since they matter most when
-// operators are staring at the log.
+// wrap is Wrap under the API request deadline.
 func (s *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return s.wrapTimeout(endpoint, s.cfg.RequestTimeout, h)
-}
-
-// wrapTimeout is wrap with an explicit request deadline, for the cell
-// RPC whose in-request simulation legitimately outlives the API
-// deadline.
-func (s *Server) wrapTimeout(endpoint string, timeout time.Duration, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		// Extract the caller's trace context, if any: handlers and every
-		// log line under this request then carry the same trace_id the
-		// client minted, and sampled requests record span fragments.
-		if tc, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-			ctx = obs.WithTraceContext(ctx, tc)
-			if s.cfg.Frags != nil {
-				ctx = obs.WithFragments(ctx, s.cfg.Frags)
-			}
-		}
-		entry := &accessEntry{jobID: r.PathValue("id")}
-		ctx = context.WithValue(ctx, accessKey{}, entry)
-		r = r.WithContext(ctx)
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			if p := recover(); p != nil {
-				err := runx.FromPanic(p, "server."+r.Method+" "+r.URL.Path)
-				s.cfg.Logf("deesimd: %v", err)
-				s.writeError(rec, err)
-			}
-			if rec.status == 0 {
-				rec.status = http.StatusOK
-			}
-			d := time.Since(start)
-			s.met.httpRequest(endpoint, rec.status, d)
-			attrs := []slog.Attr{
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", rec.status),
-				slog.Duration("duration", d),
-			}
-			if entry.jobID != "" {
-				attrs = append(attrs, slog.String("job", entry.jobID))
-			}
-			s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "http request", attrs...)
-		}()
-		h(rec, r)
-	}
+	return s.Wrap(endpoint, s.cfg.RequestTimeout, h)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -162,20 +68,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		s.writeError(w, runx.Newf(runx.KindInvalidInput, stageServer, "decode spec: %v", err))
+		s.WriteError(w, runx.Newf(runx.KindInvalidInput, stageServer, "decode spec: %v", err))
 		return
 	}
 	if err := runx.CtxErr(r.Context(), stageServer); err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	st, err := s.SubmitCtx(r.Context(), sp)
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	setAccessJobID(r.Context(), st.ID)
-	writeJSON(w, http.StatusAccepted, st)
+	WriteJSON(w, http.StatusAccepted, st)
 }
 
 // handleTraceFrag serves this process's span fragments, optionally
@@ -185,77 +91,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceFrag(w http.ResponseWriter, r *http.Request) {
 	frags, err := obs.ReadFragments(s.cfg.Frags.Path(), r.URL.Query().Get("trace"))
 	if err != nil {
-		s.writeError(w, runx.Newf(runx.KindUnknown, stageServer, "read fragments: %v", err))
+		s.WriteError(w, runx.Newf(runx.KindUnknown, stageServer, "read fragments: %v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, frags)
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.List())
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.Status(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, runx.Newf(runx.KindInvalidInput, stageServer, "unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	st, ok := s.Status(id)
-	if !ok {
-		s.writeError(w, runx.Newf(runx.KindInvalidInput, stageServer, "unknown job %q", id))
-		return
-	}
-	switch st.State {
-	case StateDone:
-	case StateFailed:
-		s.writeError(w, runx.Newf(runx.KindFromString(st.Kind), stageServer, "job %s failed: %s", id, st.Error))
-		return
-	default:
-		// Not finished yet: an honest retry-later, with the same backoff
-		// hint as load shedding.
-		s.writeError(w, runx.Newf(runx.KindUnavailable, stageServer, "job %s is %s (%d/%d cells)", id, st.State, st.CellsDone, st.CellsTotal))
-		return
-	}
-	data, err := durable.ReadFileVerified(s.cfg.FS, s.ResultPath(id))
-	if err != nil {
-		if runx.IsKind(err, runx.KindCorrupt) {
-			// The stored result no longer matches its recorded digest:
-			// quarantine the damage and send the job back through the run
-			// path. The sweep is deterministic, so the re-run serves
-			// byte-identical results; the client's Wait loop just sees a
-			// retry-later in the meantime.
-			if qp, qerr := durable.Quarantine(s.cfg.FS, s.ResultPath(id)); qerr == nil {
-				s.met.quarantined.Inc()
-				s.cfg.Logf("deesimd: job %s: result failed integrity check, quarantined to %s: %v", id, qp, err)
-				if s.requeueForHeal(id) {
-					s.met.healed.Inc()
-					durable.NoteHealed()
-				}
-			}
-			s.writeError(w, runx.Newf(runx.KindUnavailable, stageServer,
-				"job %s result failed integrity check; quarantined and re-queued for re-run", id))
-			return
-		}
-		s.writeError(w, runx.Newf(runx.KindCorrupt, stageServer, "job %s result unreadable: %v", id, err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	// The body was verified against its stored digest above; stamping
-	// that digest on the response lets the client extend the integrity
-	// check across the wire.
-	w.Header().Set(durable.DigestHeader, durable.Digest(data))
-	w.WriteHeader(http.StatusOK)
-	w.Write(data)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	WriteJSON(w, http.StatusOK, frags)
 }
 
 // ReadyStatus is the /readyz body. Status is the worker tri-state —
@@ -289,7 +128,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		code = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter).Seconds()+0.5)))
 	}
-	writeJSON(w, code, st)
+	WriteJSON(w, code, st)
 }
 
 // handleMetrics serves the registry in Prometheus text exposition
@@ -298,34 +137,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.met.reg.WritePrometheus(w) // header written; a failed write has no recourse
-}
-
-func (s *Server) handleVersionz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, obs.Version())
-}
-
-// errorBody is the structured error envelope every non-2xx response
-// carries; Kind round-trips through runx.KindFromString on the client.
-type errorBody struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	kind := runx.KindUnknown
-	if e, ok := runx.As(err); ok {
-		kind = e.Kind
-	}
-	if kind == runx.KindOverload || kind == runx.KindUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter).Seconds()+0.5)))
-	}
-	writeJSON(w, kind.HTTPStatus(), errorBody{Error: err.Error(), Kind: kind.String()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // header already written; a failed write has no recourse
 }

@@ -27,15 +27,10 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
-	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deesim/internal/budget"
@@ -187,28 +182,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is the in-memory record of one submission; all mutable fields
-// are guarded by Server.mu.
-type job struct {
-	id         string
-	spec       Spec
-	class      string    // normalized priority class (spec.Class())
-	deadline   time.Time // absolute SLO deadline; zero = none
-	enqueued   time.Time // when the job entered its lane (queue-wait split)
-	state      string
-	cellsDone  int
-	cellsTotal int
-	resumed    bool // re-queued by crash recovery
-	errText    string
-	errKind    string
-}
-
-// traceCtx parses the trace context persisted with the job's spec, so
-// a resumed job rejoins the trace its submission minted.
-func (jb *job) traceCtx() (obs.TraceContext, bool) {
-	return obs.ParseTraceparent(jb.spec.Trace)
-}
-
 // JobStatus is the status API's JSON rendering of a job. Priority and
 // Deadline surface the SLO fields so a waiting client can tell a
 // deadline-expired sweep from a generic failure; both are omitted for
@@ -231,6 +204,8 @@ type JobStatus struct {
 // Start, serve Handler() over HTTP, and stop with Drain (graceful) or
 // Close (hard, for tests).
 type Server struct {
+	*Store // jobs/<id>/ records, recovery, status and the HTTP envelope
+
 	cfg        Config
 	met        *serverMetrics
 	baseCtx    context.Context
@@ -239,19 +214,11 @@ type Server struct {
 	cellSlots   chan struct{} // leased-cell admission (capacity CellSlots)
 	cellsActive int64         // leased cells executing right now (atomic)
 
-	// degraded is set when a durable write hits ENOSPC: the server
-	// sheds new work (503, /readyz "degraded") until a probe write
-	// succeeds again, so disk pressure never corrupts accepted state.
-	degraded atomic.Bool
-
 	mu           sync.Mutex
-	jobs         map[string]*job
-	order        []string // submission/recovery order
-	waitingInt   int      // queued interactive jobs, against QueueDepth
-	waitingBatch int      // queued batch jobs, against BatchQueueDepth
-	seq          int
-	pendInt      []*job // interactive lane, FIFO
-	pendBatch    []*job // batch lane, FIFO; drained only when pendInt is empty
+	waitingInt   int       // queued interactive jobs, against QueueDepth
+	waitingBatch int       // queued batch jobs, against BatchQueueDepth
+	pendInt      []*Record // interactive lane, FIFO
+	pendBatch    []*Record // batch lane, FIFO; drained only when pendInt is empty
 	wake         chan struct{}
 	wakeClosed   bool
 	draining     bool
@@ -269,13 +236,6 @@ const stageServer = "server"
 // finished cells). It does not start workers; call Start.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.StateDir == "" {
-		return nil, runx.Newf(runx.KindInvalidInput, stageServer, "empty state directory")
-	}
-	if err := cfg.FS.MkdirAll(filepath.Join(cfg.StateDir, "jobs"), 0o755); err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageServer, "state dir: %w", err)
-	}
-	cfg.FS.SyncDir(cfg.StateDir)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -283,19 +243,33 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		cellSlots:  make(chan struct{}, cfg.CellSlots),
-		jobs:       make(map[string]*job),
 		running:    make(map[string]context.CancelFunc),
 	}
-	pending, err := s.recover()
+	store, pending, err := NewStore(StoreConfig{
+		Root: cfg.StateDir, Daemon: "deesimd", Noun: "job", Stage: stageServer,
+		DegradedNote: "shedding new work, previously-acked state intact",
+		RetryAfter:   cfg.RetryAfter, FS: cfg.FS, Logf: cfg.Logf, Logger: cfg.Logger, Frags: cfg.Frags,
+		ObserveHTTP: s.met.httpRequest,
+		AccessJobID: true,
+		Counters: StoreCounters{
+			Done: s.met.jobsDone, Failed: s.met.jobsFailed, Interrupted: s.met.jobsIntr,
+			Quarantined: s.met.quarantined, Healed: s.met.healed, LowDisk: s.met.lowDisk,
+		},
+		Heal: s.requeueForHeal,
+		// Degraded is brownout level 3 (reads only); publish the transition.
+		OnDegraded: s.noteReadsOnly,
+	})
 	if err != nil {
 		cancel()
 		return nil, err
 	}
+	s.Store = store
 	// Capacity covers both lanes' admission bounds plus everything
 	// recovery may enqueue, so wake-token sends made while holding s.mu
 	// can never block.
 	s.wake = make(chan struct{}, cfg.QueueDepth+cfg.BatchQueueDepth+len(pending)+cfg.Workers)
 	for _, jb := range pending {
+		jb.Enqueued = time.Now()
 		s.pushLocked(jb)
 		s.met.jobsResumed.Inc()
 		s.wake <- struct{}{}
@@ -308,15 +282,8 @@ func New(cfg Config) (*Server, error) {
 // waiting count. Callers that already reserved the waiting slot at
 // admission (Submit) must decrement first — the counter is owned here.
 // Caller holds s.mu (or, in New, owns the server exclusively).
-func (s *Server) pushLocked(jb *job) {
-	if jb.class == "" {
-		jb.class = jb.spec.Class()
-		jb.deadline, _ = jb.spec.ParseDeadline()
-	}
-	if jb.enqueued.IsZero() {
-		jb.enqueued = time.Now()
-	}
-	if jb.class == PriorityBatch {
+func (s *Server) pushLocked(jb *Record) {
+	if jb.Spec.Class() == PriorityBatch {
 		s.pendBatch = append(s.pendBatch, jb)
 		s.waitingBatch++
 	} else {
@@ -328,7 +295,7 @@ func (s *Server) pushLocked(jb *job) {
 // popLocked removes and returns the next job to run — interactive
 // strictly before batch — or nil when both lanes are empty. Caller
 // holds s.mu.
-func (s *Server) popLocked() *job {
+func (s *Server) popLocked() *Record {
 	if len(s.pendInt) > 0 {
 		jb := s.pendInt[0]
 		s.pendInt = s.pendInt[1:]
@@ -348,104 +315,6 @@ func (s *Server) updateQueueGaugesLocked() {
 	s.met.queueDepth.Set(float64(s.waitingInt + s.waitingBatch))
 	s.met.queueDepthInt.Set(float64(s.waitingInt))
 	s.met.queueDepthBatch.Set(float64(s.waitingBatch))
-}
-
-// recover scans the jobs directory and rebuilds the registry. Returns
-// the jobs that must be re-queued (no result, no permanent failure).
-// Every artifact recovery trusts is digest-verified first: a corrupt
-// result.json or failed.json is quarantined and its job re-queued (the
-// sweep re-runs deterministically — heal by re-execution), a corrupt
-// spec.json is quarantined and the job skipped (the spec was the
-// input; there is nothing to re-run from). Stale temp files from
-// crashed writers are swept while no writer can be mid-flight.
-func (s *Server) recover() ([]*job, error) {
-	fsys := s.cfg.FS
-	dir := filepath.Join(s.cfg.StateDir, "jobs")
-	durable.SweepStale(fsys, dir)
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageServer, "scan %s: %w", dir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() && e.Name() != durable.QuarantineDir {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names) // ids are zero-padded: lexicographic == submission order
-	var pending []*job
-	for _, id := range names {
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > s.seq {
-			s.seq = n
-		}
-		jdir := filepath.Join(dir, id)
-		durable.SweepStale(fsys, jdir)
-		specData, err := durable.ReadFileVerified(fsys, filepath.Join(jdir, "spec.json"))
-		if err != nil {
-			if runx.IsKind(err, runx.KindCorrupt) {
-				qp, _ := durable.Quarantine(fsys, filepath.Join(jdir, "spec.json"))
-				s.met.quarantined.Inc()
-				s.cfg.Logf("deesimd: recovery: job %s spec corrupt, quarantined to %s: %v", id, qp, err)
-			} else {
-				s.cfg.Logf("deesimd: recovery: job %s has no readable spec, skipping: %v", id, err)
-			}
-			continue
-		}
-		var sp Spec
-		if err := json.Unmarshal(specData, &sp); err != nil {
-			s.cfg.Logf("deesimd: recovery: job %s spec unparsable, skipping: %v", id, err)
-			continue
-		}
-		jb := &job{id: id, spec: sp, cellsTotal: sp.CellsTotal()}
-		resultOK := s.verifyOrQuarantine(jb, filepath.Join(jdir, "result.json"))
-		failedOK := s.verifyOrQuarantine(jb, filepath.Join(jdir, "failed.json"))
-		switch {
-		case resultOK:
-			jb.state = StateDone
-			jb.cellsDone = jb.cellsTotal
-		case failedOK:
-			jb.state = StateFailed
-			var f struct{ Error, Kind string }
-			if data, err := fsys.ReadFile(filepath.Join(jdir, "failed.json")); err == nil {
-				if json.Unmarshal(data, &f) == nil {
-					jb.errText, jb.errKind = f.Error, f.Kind
-				}
-			}
-		default:
-			jb.state = StateQueued
-			jb.resumed = true
-			pending = append(pending, jb)
-		}
-		s.jobs[id] = jb
-		s.order = append(s.order, id)
-	}
-	if len(pending) > 0 {
-		s.cfg.Logf("deesimd: recovery: re-queued %d incomplete job(s)", len(pending))
-	}
-	return pending, nil
-}
-
-// verifyOrQuarantine reports whether a terminal-state artifact exists
-// and passes its digest check. A corrupt artifact is quarantined and
-// reported absent, which sends the job back through the run path —
-// the heal-by-rerun move the integrity layer is built around.
-func (s *Server) verifyOrQuarantine(jb *job, path string) bool {
-	if !s.fileExists(path) {
-		return false
-	}
-	if _, err := durable.ReadFileVerified(s.cfg.FS, path); err != nil {
-		qp, qerr := durable.Quarantine(s.cfg.FS, path)
-		if qerr != nil {
-			s.cfg.Logf("deesimd: job %s: %s corrupt and quarantine failed (%v); treating as absent: %v", jb.id, filepath.Base(path), qerr, err)
-			return false
-		}
-		s.met.quarantined.Inc()
-		s.met.healed.Inc()
-		durable.NoteHealed()
-		s.cfg.Logf("deesimd: job %s: %s failed integrity check, quarantined to %s; job will re-run: %v", jb.id, filepath.Base(path), qp, err)
-		return false
-	}
-	return true
 }
 
 // Start launches the worker pool. Idempotent per server (call once).
@@ -472,7 +341,8 @@ func (s *Server) worker() {
 			continue
 		}
 		s.updateQueueGaugesLocked()
-		if !jb.deadline.IsZero() && !time.Now().Before(jb.deadline) {
+		deadline, _ := jb.Spec.ParseDeadline() // syntax vetted at admission
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			// The deadline passed while the job sat queued. Fail it
 			// terminally — failed.json records kind "deadline exceeded",
 			// so no restart ever silently re-dispatches it — without
@@ -480,33 +350,31 @@ func (s *Server) worker() {
 			s.mu.Unlock()
 			s.met.deadlineTimeouts.Inc()
 			s.finishJob(jb, runx.Newf(runx.KindTimeout, stageServer,
-				"job %s missed its deadline %s before starting", jb.id, jb.deadline.Format(time.RFC3339)))
+				"job %s missed its deadline %s before starting", jb.ID, deadline.Format(time.RFC3339)))
 			continue
 		}
-		jb.state = StateRunning
-		jb.cellsDone = 0
-		enqueued := jb.enqueued
+		enqueued := s.Begin(jb)
 		ctx, cancel := context.WithCancel(s.baseCtx)
-		s.running[jb.id] = cancel
+		s.running[jb.ID] = cancel
 		s.met.inflight.Set(float64(len(s.running)))
 		s.mu.Unlock()
 
 		// Queue-wait vs run-time split: the wait ends here, the run
 		// starts here; both series carry the job's trace as exemplar.
-		tc, traced := jb.traceCtx()
+		tc, traced := jb.TraceCtx()
 		if !enqueued.IsZero() {
 			s.met.queueWait.ObserveExemplar(time.Since(enqueued).Seconds(), tc.TraceID)
 			if traced {
 				_ = s.cfg.Frags.Append(obs.SpanFragment{
 					Trace: tc.TraceID, Span: tc.Child().SpanID, Parent: tc.SpanID,
-					Name:  "queue-wait " + jb.id,
+					Name:  "queue-wait " + jb.ID,
 					Start: enqueued.UnixNano(), End: time.Now().UnixNano(),
-					Attrs: map[string]string{"job": jb.id, "class": jb.class},
+					Attrs: map[string]string{"job": jb.ID, "class": jb.Spec.Class()},
 				})
 			}
 		}
 		started := time.Now()
-		err := s.runJob(ctx, jb)
+		err := s.runJob(ctx, jb, deadline)
 		cancel()
 		s.met.jobRun.ObserveExemplar(time.Since(started).Seconds(), tc.TraceID)
 		s.finishJob(jb, err)
@@ -516,7 +384,7 @@ func (s *Server) worker() {
 // runJob executes one job's sweep under its journal, writing
 // result.json atomically on success. Resumable by construction: every
 // completed cell is fsync'd to the journal before the next begins.
-func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
+func (s *Server) runJob(ctx context.Context, jb *Record, deadline time.Time) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = runx.FromPanic(r, "server.runJob")
@@ -526,19 +394,19 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 	// emitted under this sweep carries it, and rejoin the trace the
 	// submission minted (persisted with the spec, so resume rejoins it
 	// too) so every cell under this sweep records fragments.
-	ctx = obs.WithJobID(ctx, jb.id)
-	if tc, ok := jb.traceCtx(); ok {
+	ctx = obs.WithJobID(ctx, jb.ID)
+	if tc, ok := jb.TraceCtx(); ok {
 		ctx = obs.WithTraceContext(ctx, tc)
 		ctx = obs.WithFragments(ctx, s.cfg.Frags)
 		var endJob func()
-		ctx, endJob = obs.StartSpan(ctx, "job "+jb.id, map[string]string{"job": jb.id})
+		ctx, endJob = obs.StartSpan(ctx, "job "+jb.ID, map[string]string{"job": jb.ID})
 		defer endJob()
 	}
-	ws, cfg, err := jb.spec.resolve()
+	ws, cfg, err := jb.Spec.resolve()
 	if err != nil {
 		return err
 	}
-	timeout, err := parseDuration("timeout", jb.spec.Timeout)
+	timeout, err := parseDuration("timeout", jb.Spec.Timeout)
 	if err != nil {
 		return err
 	}
@@ -554,7 +422,6 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 	// timeout does — whichever expires first cancels the sweep — but a
 	// deadline failure is re-labeled below with the deadline timestamp,
 	// so a waiting client learns *which* instant the sweep missed.
-	deadline := jb.deadline
 	if !deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
@@ -563,51 +430,43 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 			if err != nil && runx.IsKind(err, runx.KindTimeout) && !time.Now().Before(deadline) {
 				s.met.deadlineTimeouts.Inc()
 				err = runx.Newf(runx.KindTimeout, stageServer,
-					"job %s exceeded its deadline %s: %w", jb.id, deadline.Format(time.RFC3339), err)
+					"job %s exceeded its deadline %s: %w", jb.ID, deadline.Format(time.RFC3339), err)
 			}
 		}()
 	}
-	backoff, err := parseDuration("backoff", jb.spec.Backoff)
+	backoff, err := parseDuration("backoff", jb.Spec.Backoff)
 	if err != nil {
 		return err
 	}
 	if backoff <= 0 {
 		backoff = s.cfg.Backoff
 	}
-	retries := jb.spec.Retries
+	retries := jb.Spec.Retries
 	if retries <= 0 {
 		retries = s.cfg.Retries
 	}
-	cellDelay, err := parseDuration("cell_delay", jb.spec.CellDelay)
+	cellDelay, err := parseDuration("cell_delay", jb.Spec.CellDelay)
 	if err != nil {
 		return err
 	}
 
 	meta := experiments.MatrixMeta(ws, cfg)
-	jpath := filepath.Join(s.jobDir(jb.id), "run.journal")
+	jpath := filepath.Join(s.Dir(jb.ID), "run.journal")
 	var (
 		jr    *superv.Journal
 		prior *superv.State
 	)
-	if s.fileExists(jpath) {
+	if s.Exists(jpath) {
 		jr, prior, err = superv.ResumeFS(s.cfg.FS, jpath, "deesimd", meta)
 		if err != nil {
 			if runx.IsKind(err, runx.KindUnavailable) {
 				return err // disk full, not damage: park for resume, do not quarantine
 			}
-			// An unusable journal (corrupt record, torn header, recorded
-			// under different settings) carries no trustworthy progress.
-			// The sweep is deterministic, so the safe self-healing move is
-			// to quarantine the damaged journal — never delete evidence —
-			// and restart the job from scratch.
-			qp, qerr := durable.Quarantine(s.cfg.FS, jpath)
+			qp, qerr := s.QuarantineJournal(jb.ID, jpath, err)
 			if qerr != nil {
-				return runx.Newf(runx.KindCorrupt, stageServer, "job %s: journal unusable (%v) and quarantine failed: %v", jb.id, err, qerr)
+				return qerr
 			}
-			s.met.quarantined.Inc()
-			s.met.healed.Inc()
-			durable.NoteHealed()
-			s.cfg.Logf("deesimd: job %s: journal unusable (%v), quarantined to %s, restarting sweep from scratch", jb.id, err, qp)
+			s.cfg.Logf("deesimd: job %s: journal unusable (%v), quarantined to %s, restarting sweep from scratch", jb.ID, err, qp)
 			jr, prior = nil, nil
 		}
 	}
@@ -619,7 +478,7 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 	defer jr.Close()
 
 	if prior != nil && len(prior.Done) > 0 {
-		s.cfg.Logf("deesimd: job %s: resuming, %s", jb.id, prior.Summary(jb.cellsTotal))
+		s.cfg.Logf("deesimd: job %s: resuming, %s", jb.ID, prior.Summary(jb.CellsTotal))
 	}
 	mcfg := experiments.MatrixConfig{
 		Jobs:    s.cfg.CellJobs,
@@ -632,12 +491,10 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 			Backoff:  backoff,
 		},
 		OnRetry: func(key string, attempt int, delay string, err error) {
-			s.cfg.Logf("deesimd: job %s: retrying %s (attempt %d after %s): %v", jb.id, key, attempt, delay, err)
+			s.cfg.Logf("deesimd: job %s: retrying %s (attempt %d after %s): %v", jb.ID, key, attempt, delay, err)
 		},
 		OnCell: func(key string, replayed bool) {
-			s.mu.Lock()
-			jb.cellsDone++
-			s.mu.Unlock()
+			s.CellDone(jb)
 			if !replayed && cellDelay > 0 {
 				t := time.NewTimer(cellDelay)
 				select {
@@ -655,7 +512,7 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 		}
 		data, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
-			return nil, runx.Newf(runx.KindUnknown, stageServer, "job %s: marshal results: %w", jb.id, err)
+			return nil, runx.Newf(runx.KindUnknown, stageServer, "job %s: marshal results: %w", jb.ID, err)
 		}
 		return append(data, '\n'), nil
 	}
@@ -666,81 +523,29 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 		// bytes — each job still writes (and acks) its own result.json,
 		// so the per-job durability contract is unchanged.
 		data, err = s.cfg.Memo.Do(ctx, experiments.SweepMemoKey(ws, cfg), compute)
-		if err == nil {
-			s.mu.Lock()
-			jb.cellsDone = jb.cellsTotal // shared or replayed cells count as done
-			s.mu.Unlock()
-		}
 	} else {
 		data, err = compute(ctx)
 	}
 	if err != nil {
 		return err
 	}
-	if err := durable.WriteFileAtomic(s.cfg.FS, filepath.Join(s.jobDir(jb.id), "result.json"), data); err != nil {
+	if err := durable.WriteFileAtomic(s.cfg.FS, s.ResultPath(jb.ID), data); err != nil {
 		if durable.IsNoSpace(err) {
-			return runx.Newf(runx.KindUnavailable, stageServer, "job %s: write result: %w", jb.id, err)
+			return runx.Newf(runx.KindUnavailable, stageServer, "job %s: write result: %w", jb.ID, err)
 		}
-		return runx.Newf(runx.KindCorrupt, stageServer, "job %s: write result: %w", jb.id, err)
+		return runx.Newf(runx.KindCorrupt, stageServer, "job %s: write result: %w", jb.ID, err)
 	}
 	return nil
 }
 
-// finishJob records a job's terminal (or interrupted) state. A
-// canceled job — drain or shutdown — keeps its journal and resumes on
-// the next start; every other failure is permanent and recorded in
-// failed.json so restarts do not retry deterministic errors.
-func (s *Server) finishJob(jb *job, err error) {
+// finishJob retires a job from the running set and records its
+// outcome in the store (see Store.Finish for the terminal-state rules).
+func (s *Server) finishJob(jb *Record, err error) {
 	s.mu.Lock()
-	delete(s.running, jb.id)
+	delete(s.running, jb.ID)
 	s.met.inflight.Set(float64(len(s.running)))
-	if err == nil {
-		jb.state = StateDone
-		s.mu.Unlock()
-		s.met.jobsDone.Inc()
-		s.cfg.Logf("deesimd: job %s: done (%d cells)", jb.id, jb.cellsTotal)
-		return
-	}
-	jb.errText = err.Error()
-	if e, ok := runx.As(err); ok {
-		jb.errKind = e.Kind.String()
-	}
-	if runx.IsKind(err, runx.KindCanceled) || durable.IsNoSpace(err) {
-		// Canceled (drain/shutdown) and disk-full are both transient:
-		// the journal's durable prefix is intact, so the job parks as
-		// interrupted and resumes on the next start instead of burning
-		// a permanent failure marker.
-		jb.state = StateInterrupted
-		s.mu.Unlock()
-		s.met.jobsIntr.Inc()
-		if durable.IsNoSpace(err) {
-			s.setDegraded(true)
-		}
-		s.cfg.Logf("deesimd: job %s: interrupted, journaled for resume: %v", jb.id, err)
-		return
-	}
-	// The marker must be durable before StateFailed is observable:
-	// anyone who sees the state (or a recovery scan after a crash
-	// here) must also see failed.json, or the job re-runs rather than
-	// silently resurrecting as queued.
-	kind := jb.errKind
-	errText := jb.errText
 	s.mu.Unlock()
-	data, _ := json.Marshal(struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind,omitempty"`
-	}{errText, kind})
-	if werr := durable.WriteFileAtomic(s.cfg.FS, filepath.Join(s.jobDir(jb.id), "failed.json"), append(data, '\n')); werr != nil {
-		if durable.IsNoSpace(werr) {
-			s.setDegraded(true)
-		}
-		s.cfg.Logf("deesimd: job %s: could not record failure: %v", jb.id, werr)
-	}
-	s.mu.Lock()
-	jb.state = StateFailed
-	s.mu.Unlock()
-	s.met.jobsFailed.Inc()
-	s.cfg.Logf("deesimd: job %s: failed permanently: %v", jb.id, err)
+	s.Finish(jb, err)
 }
 
 // Submit admits a job under the class-aware SLO policy: an expired
@@ -753,24 +558,11 @@ func (s *Server) Submit(sp Spec) (*JobStatus, error) {
 	return s.SubmitCtx(context.Background(), sp)
 }
 
-// SubmitCtx is Submit carrying the caller's context. The submission is
-// where a job's trace is settled, in priority order: a traceparent the
-// spec already carries (a coordinator or resubmitting client minted it
-// upstream), else the request context's (the HTTP hop propagated it),
-// else a freshly minted one — so every accepted job is traceable even
-// when the client predates tracing. The settled traceparent is stamped
-// into the spec before it is persisted, making the trace as durable as
-// the acceptance itself.
+// SubmitCtx is Submit carrying the caller's context, from which
+// Store.Create settles the job's trace.
 func (s *Server) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
-	}
-	if _, ok := obs.ParseTraceparent(sp.Trace); !ok {
-		tc, ok := obs.TraceContextFrom(ctx)
-		if !ok {
-			tc = obs.NewTrace()
-		}
-		sp.Trace = tc.Traceparent()
 	}
 	class := sp.Class()
 	deadline, _ := sp.ParseDeadline() // syntax vetted by Validate
@@ -779,14 +571,13 @@ func (s *Server) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 		return nil, runx.Newf(runx.KindTimeout, stageServer,
 			"deadline %s already passed at submission", deadline.Format(time.RFC3339))
 	}
-	if s.Degraded() {
+	if err := s.LowDiskErr(); err != nil {
 		// Brownout level 3: reads only. Status, results, and metrics
 		// keep serving; every write sheds until a probe write succeeds.
 		s.met.drainSheds.Inc()
 		s.met.classShed(class)
 		obs.RecordFlight("shed", "low disk: new job refused", map[string]string{"class": class})
-		return nil, runx.Newf(runx.KindUnavailable, stageServer,
-			"low disk: shedding new jobs until durable writes succeed; retry after %s", s.cfg.RetryAfter)
+		return nil, err
 	}
 	s.mu.Lock()
 	if s.draining {
@@ -827,54 +618,16 @@ func (s *Server) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 			"brownout level %d: interactive queue full (%d waiting), deferring new work; retry after %s",
 			BrownoutDeferAll, s.cfg.QueueDepth, s.cfg.RetryAfter)
 	}
-	s.seq++
-	id := fmt.Sprintf("j%06d", s.seq)
-	jb := &job{id: id, spec: sp, class: class, deadline: deadline, enqueued: time.Now(), state: StateQueued, cellsTotal: sp.CellsTotal()}
-	s.jobs[id] = jb
-	s.order = append(s.order, id)
-	if class == PriorityBatch {
-		s.waitingBatch++
-	} else {
-		s.waitingInt++
-	}
-	s.updateQueueGaugesLocked()
+	s.reserveLocked(class, +1)
 	s.mu.Unlock()
 
-	// Durability before acknowledgment: the spec reaches disk (fsync +
-	// rename) before the caller ever learns the job id, so "accepted"
-	// survives any crash.
-	specData, err := json.MarshalIndent(sp, "", "  ")
-	if err == nil {
-		if err = s.cfg.FS.MkdirAll(s.jobDir(id), 0o755); err == nil {
-			// Make the directory entry itself durable before the spec
-			// rename that depends on it — the fsync a bare MkdirAll
-			// forgets.
-			s.cfg.FS.SyncDir(filepath.Join(s.cfg.StateDir, "jobs"))
-			err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(s.jobDir(id), "spec.json"), append(specData, '\n'))
-		}
-	}
-	if err != nil {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.order = s.order[:len(s.order)-1]
-		if class == PriorityBatch {
-			s.waitingBatch--
-		} else {
-			s.waitingInt--
-		}
-		s.updateQueueGaugesLocked()
-		s.mu.Unlock()
-		if durable.IsNoSpace(err) {
-			// Ack nothing we cannot persist: the submission is refused,
-			// previously-acked state is untouched, and the server sheds
-			// until a probe write clears the pressure.
-			s.setDegraded(true)
-			return nil, runx.Newf(runx.KindUnavailable, stageServer, "persist job %s: %w", id, err)
-		}
-		return nil, runx.Newf(runx.KindCorrupt, stageServer, "persist job %s: %w", id, err)
-	}
-
+	jb, err := s.Create(ctx, sp)
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
+		s.reserveLocked(class, -1)
+		return nil, err
+	}
 	if !s.wakeClosed {
 		// The waiting slot was reserved at admission; only the lane
 		// append happens here. Wake capacity was reserved too, so the
@@ -888,55 +641,19 @@ func (s *Server) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 	}
 	// If admission closed between reserve and here, the job stays on
 	// disk and the next process resumes it — accepted is accepted.
-	st := statusLocked(jb)
-	s.mu.Unlock()
 	s.met.accepted.Inc()
-	s.cfg.Logf("deesimd: job %s: accepted (%d cells)", id, jb.cellsTotal)
-	return st, nil
+	return s.Snapshot(jb), nil
 }
 
-// Status returns a job's status snapshot.
-func (s *Server) Status(id string) (*JobStatus, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	jb, ok := s.jobs[id]
-	if !ok {
-		return nil, false
+// reserveLocked moves a class's waiting count by delta (±1) and
+// republishes the queue gauges. Caller holds s.mu.
+func (s *Server) reserveLocked(class string, delta int) {
+	if class == PriorityBatch {
+		s.waitingBatch += delta
+	} else {
+		s.waitingInt += delta
 	}
-	return statusLocked(jb), true
-}
-
-// List returns every job's status in submission order.
-func (s *Server) List() []*JobStatus {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*JobStatus, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, statusLocked(s.jobs[id]))
-	}
-	return out
-}
-
-func statusLocked(jb *job) *JobStatus {
-	st := &JobStatus{
-		ID:         jb.id,
-		State:      jb.state,
-		CellsDone:  jb.cellsDone,
-		CellsTotal: jb.cellsTotal,
-		Resumed:    jb.resumed,
-		Error:      jb.errText,
-		Kind:       jb.errKind,
-	}
-	if jb.spec.Priority != "" {
-		st.Priority = jb.spec.Class()
-	}
-	st.Deadline = jb.spec.Deadline
-	return st
-}
-
-// ResultPath returns the path of a done job's result file.
-func (s *Server) ResultPath(id string) string {
-	return filepath.Join(s.jobDir(id), "result.json")
+	s.updateQueueGaugesLocked()
 }
 
 // Draining reports whether drain has begun (readyz turns 503).
@@ -999,12 +716,10 @@ func (s *Server) cancelRunning() {
 }
 
 func (s *Server) logDrainSummary() {
-	s.mu.Lock()
 	counts := map[string]int{}
-	for _, jb := range s.jobs {
-		counts[jb.state]++
+	for _, js := range s.List() {
+		counts[js.State]++
 	}
-	s.mu.Unlock()
 	s.cfg.Logf("deesimd: drained: %d done, %d failed, %d interrupted, %d queued (interrupted/queued resume on restart)",
 		counts[StateDone], counts[StateFailed], counts[StateInterrupted], counts[StateQueued])
 }
@@ -1023,94 +738,34 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-func (s *Server) jobDir(id string) string {
-	return filepath.Join(s.cfg.StateDir, "jobs", id)
-}
-
-func (s *Server) fileExists(path string) bool {
-	_, err := s.cfg.FS.Stat(path)
-	return err == nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
 // requeueForHeal sends a job whose terminal artifact was quarantined
 // back through the run path. If the queue is closed or full the job
 // parks as interrupted instead and the next process heals it — either
 // way no state is lost. Reports whether an in-process re-run was
 // scheduled.
 func (s *Server) requeueForHeal(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	jb, ok := s.jobs[id]
+	jb, ok := s.Get(id)
 	if !ok {
 		return false
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	park := func(r *Record) { r.State = StateInterrupted }
 	if s.wakeClosed || s.draining {
-		jb.state = StateInterrupted
+		s.update(jb, park)
 		return false
 	}
 	select {
 	case s.wake <- struct{}{}:
-		jb.state = StateQueued
-		jb.resumed = true
-		jb.cellsDone = 0
-		jb.errText, jb.errKind = "", ""
+		s.update(jb, func(r *Record) {
+			r.State, r.Resumed, r.CellsDone = StateQueued, true, 0
+			r.ErrText, r.ErrKind = "", ""
+		})
 		s.pushLocked(jb)
 		s.updateQueueGaugesLocked()
 		return true
 	default:
-		jb.state = StateInterrupted
+		s.update(jb, park)
 		return false
 	}
-}
-
-// Degraded reports whether the server is in low-disk degraded mode.
-// While degraded it probes with a tiny durable write; the first probe
-// that succeeds clears the state, so recovery needs no operator action
-// beyond freeing space.
-func (s *Server) Degraded() bool {
-	if !s.degraded.Load() {
-		return false
-	}
-	if s.probeDisk() {
-		s.setDegraded(false)
-		return false
-	}
-	return true
-}
-
-func (s *Server) setDegraded(on bool) {
-	was := s.degraded.Swap(on)
-	if was == on {
-		return
-	}
-	if on {
-		s.met.lowDisk.Set(1)
-		durable.SetLowDisk(true)
-		s.cfg.Logf("deesimd: durable write hit ENOSPC; entering degraded mode (shedding new work, previously-acked state intact)")
-	} else {
-		s.met.lowDisk.Set(0)
-		durable.SetLowDisk(false)
-		s.cfg.Logf("deesimd: disk probe succeeded; leaving degraded mode")
-	}
-	// Degraded is brownout level 3 (reads only); publish the transition.
-	s.noteReadsOnly(on)
-}
-
-// probeDisk attempts a tiny durable write in the state dir.
-func (s *Server) probeDisk() bool {
-	path := filepath.Join(s.cfg.StateDir, ".diskprobe")
-	f, err := s.cfg.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false
-	}
-	_, werr := f.Write([]byte("ok\n"))
-	serr := f.Sync()
-	cerr := f.Close()
-	s.cfg.FS.Remove(path)
-	return werr == nil && serr == nil && cerr == nil
 }

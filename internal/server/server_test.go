@@ -373,7 +373,7 @@ func TestPanicIsolationPerRequest(t *testing.T) {
 		panic("handler exploded")
 	}))
 	mux.HandleFunc("GET /ok", s.wrap("ok", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, 200, map[string]string{"status": "ok"})
+		WriteJSON(w, 200, map[string]string{"status": "ok"})
 	}))
 	hs := httptest.NewServer(mux)
 	defer hs.Close()
@@ -410,7 +410,7 @@ func TestFailedJobIsPermanent(t *testing.T) {
 	if final.Kind != "deadline exceeded" {
 		t.Errorf("failure kind %q, want deadline exceeded", final.Kind)
 	}
-	if !fileExists(filepath.Join(dir, "jobs", st.ID, "failed.json")) {
+	if !s.Exists(filepath.Join(dir, "jobs", st.ID, "failed.json")) {
 		t.Error("no failed.json marker for permanent failure")
 	}
 	// Result endpoint reports the failure with its kind.

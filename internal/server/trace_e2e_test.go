@@ -127,12 +127,10 @@ func TestSubmitMintsTraceWhenAbsent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	jb := s.jobs[st.ID]
-	s.mu.Unlock()
-	tc, ok := obs.ParseTraceparent(jb.spec.Trace)
+	jb, _ := s.Get(st.ID)
+	tc, ok := jb.TraceCtx()
 	if !ok {
-		t.Fatalf("submitted spec carries no valid trace: %q", jb.spec.Trace)
+		t.Fatalf("submitted spec carries no valid trace: %q", jb.Spec.Trace)
 	}
 	if !tc.Sampled {
 		t.Fatal("minted trace is unsampled")
