@@ -60,6 +60,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"deesim/internal/bench"
@@ -144,7 +145,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// second signal (or a kill mid-drain) skips the deferred writers, and
 	// an interrupted sweep's metrics and trace are exactly the runs worth
 	// examining. The trace flusher is registered below once -trace-out
-	// has a tracer.
+	// has a fragment log.
 	var traceFlush func() error
 	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
 		fmt.Fprintf(stderr, "deesim: "+format+"\n", args...)
@@ -244,15 +245,42 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := runx.MainContext(*timeoutFlag)
 	defer stop()
 	if *traceOut != "" {
-		tracer := obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		traceFlush = func() error { return tracer.WriteFile(*traceOut) }
+		// The sweep records span fragments under a fresh trace, the same
+		// way the daemons do, into a log beside the output; the timeline
+		// is rendered from it on exit (and on the first signal).
+		fragPath := *traceOut + ".frags"
+		frags, err := obs.OpenFragmentLog(fragPath, "deesim")
+		if err != nil {
+			return fail(err)
+		}
+		ctx = obs.WithFragments(obs.WithTraceContext(ctx, obs.NewTrace()), frags)
+		var traceMu sync.Mutex
+		writeTrace := func() (int, error) {
+			traceMu.Lock()
+			defer traceMu.Unlock()
+			fr, err := obs.ReadFragments(fragPath, "")
+			if err != nil {
+				return 0, err
+			}
+			f, err := os.Create(*traceOut)
+			if err != nil {
+				return 0, err
+			}
+			err = obs.WriteTimeline(f, []obs.Lane{{Name: "deesim", Frags: fr}})
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			return len(fr), err
+		}
+		traceFlush = func() error { _, err := writeTrace(); return err }
 		defer func() {
-			if err := tracer.WriteFile(*traceOut); err != nil {
+			frags.Close()
+			if n, err := writeTrace(); err != nil {
 				fmt.Fprintln(stderr, "deesim: write trace:", err)
 			} else {
-				fmt.Fprintf(stderr, "deesim: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
+				fmt.Fprintf(stderr, "deesim: wrote %d trace events to %s\n", n, *traceOut)
 			}
+			os.Remove(fragPath)
 		}()
 	}
 

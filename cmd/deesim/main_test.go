@@ -252,7 +252,7 @@ func TestObservabilityFlags(t *testing.T) {
 	mpath := filepath.Join(dir, "metrics.txt")
 	tpath := filepath.Join(dir, "sweep.json")
 	args := fastArgs("-metrics-out", mpath, "-trace-out", tpath,
-		"-journal", filepath.Join(dir, "run.journal"))
+		"-journal", filepath.Join(dir, "run.journal"), "-jobs", "4")
 	code, _, stderr := run(t, args...)
 	if code != 0 {
 		t.Fatalf("sweep failed: %s", stderr)
@@ -276,16 +276,54 @@ func TestObservabilityFlags(t *testing.T) {
 	}
 	var tj struct {
 		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			PID  int     `json:"pid"`
+			TID  int     `json:"tid"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(trace, &tj); err != nil {
 		t.Fatalf("trace not JSON: %v", err)
 	}
-	// 8 cells + build spans, at minimum.
-	if len(tj.TraceEvents) < 9 {
-		t.Errorf("trace has %d events, want >= 9", len(tj.TraceEvents))
+	// One cell span per cell of the 2-workload x 2-model x 2-ET matrix,
+	// each recorded once (no retries here), plus the input builds.
+	cells := map[string]int{}
+	builds := 0
+	for _, ev := range tj.TraceEvents {
+		switch {
+		case strings.HasPrefix(ev.Name, "cell "):
+			cells[ev.Name]++
+		case strings.HasPrefix(ev.Name, "build "):
+			builds++
+		}
+	}
+	if len(cells) != 8 || builds == 0 {
+		t.Errorf("trace has %d distinct cell spans and %d build spans, want 8 and >= 1", len(cells), builds)
+	}
+	for name, n := range cells {
+		if n != 1 {
+			t.Errorf("%s recorded %d times, want once", name, n)
+		}
+	}
+	// Concurrent cells sit on separate threads: no two spans on one
+	// (pid, tid) track partly overlap.
+	evs := tj.TraceEvents
+	for i, a := range evs {
+		for _, b := range evs[i+1:] {
+			if a.Ph != "X" || b.Ph != "X" || a.PID != b.PID || a.TID != b.TID {
+				continue
+			}
+			aEnd, bEnd := a.TS+a.Dur, b.TS+b.Dur
+			nested := (a.TS <= b.TS && bEnd <= aEnd) || (b.TS <= a.TS && aEnd <= bEnd)
+			if a.TS < bEnd && b.TS < aEnd && !nested {
+				t.Errorf("%s and %s partly overlap on tid %d", a.Name, b.Name, a.TID)
+			}
+		}
+	}
+	if _, err := os.Stat(tpath + ".frags"); !os.IsNotExist(err) {
+		t.Errorf("fragment log %s.frags left behind (%v)", tpath, err)
 	}
 
 	code, _, stderr = run(t, "-log-level", "nonsense")

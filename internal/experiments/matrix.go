@@ -148,9 +148,10 @@ func (e *inputSim) get(ctx context.Context, cfg Config) (*trace.Trace, *ilpsim.S
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.tr == nil || e.sim == nil {
-		// Builds get trace lane 0 — worker lanes start at 1 — so trace
-		// viewers show the serialized build phase on its own track.
-		defer obs.TracerFrom(ctx).Span("build "+e.name, 0, nil)()
+		// The build runs inside the first cell attempt that needs it, so
+		// its span nests under that cell's span.
+		_, endSpan := obs.StartSpan(ctx, "build "+e.name, nil)
+		defer endSpan()
 	}
 	if e.tr == nil {
 		tr, err := recordInput(ctx, e.name, e.build, cfg)

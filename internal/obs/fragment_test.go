@@ -185,6 +185,76 @@ func TestWriteTimelineAndSkew(t *testing.T) {
 	}
 }
 
+// TestWriteTimelinePacksThreads checks tid assignment on a synthetic
+// lane: nested spans share their parent's thread, a span that partly
+// overlaps every open thread opens a new one, a thread is reused once
+// its spans have ended, and a child stays on its parent's thread even
+// when a lower thread's open span also encloses it.
+func TestWriteTimelinePacksThreads(t *testing.T) {
+	span := func(name string, start, end int64) SpanFragment {
+		return SpanFragment{Trace: "t", Span: name, Name: name, Start: start, End: end}
+	}
+	child := func(name, parent string, start, end int64) SpanFragment {
+		fr := span(name, start, end)
+		fr.Parent = parent
+		return fr
+	}
+	frags := []SpanFragment{
+		span("P", 200, 300),
+		span("Q", 210, 310),       // partly overlaps P: thread 1
+		child("R", "Q", 220, 230), // inside P too, yet Q's child: thread 1
+		child("S", "P", 240, 250), // P's child: thread 0
+		span("D", 100, 130),       // after A and B end: back on thread 0
+		span("A", 0, 100),
+		span("B", 10, 50),  // inside A
+		span("C", 40, 120), // partly overlaps A and B
+		span("I", 45, 45),  // instant inside B
+		span("E", 60, 70),  // inside A, after B ended
+		span("F", 65, 90),  // partly overlaps E; inside C
+		span("G", 65, 130), // partly overlaps E and F
+	}
+	var buf bytes.Buffer
+	if err := WriteTimeline(&buf, []Lane{{Name: "cli", Frags: frags}}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			TID  int     `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"A": 0, "B": 0, "C": 1, "D": 0, "E": 0, "F": 1, "G": 2, "I": 0, "P": 0, "Q": 1, "R": 1, "S": 0}
+	got := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			got[ev.Name] = ev.TID
+		}
+	}
+	for name, tid := range want {
+		if got[name] != tid {
+			t.Errorf("span %s on tid %d, want %d (all: %v)", name, got[name], tid, got)
+		}
+	}
+	for i, a := range doc.TraceEvents {
+		for _, b := range doc.TraceEvents[i+1:] {
+			if a.Ph != "X" || b.Ph != "X" || a.TID != b.TID {
+				continue
+			}
+			aEnd, bEnd := a.TS+a.Dur, b.TS+b.Dur
+			nested := (a.TS <= b.TS && bEnd <= aEnd) || (b.TS <= a.TS && aEnd <= bEnd)
+			if a.TS < bEnd && b.TS < aEnd && !nested {
+				t.Errorf("spans %s and %s partly overlap on tid %d", a.Name, b.Name, a.TID)
+			}
+		}
+	}
+}
+
 func TestEstimateSkew(t *testing.T) {
 	ref := map[string]int64{"l1": 1000, "l2": 2000, "l3": 3000}
 	remote := map[string]int64{"l1": 501000, "l2": 502500, "l3": 501500, "lX": 9}

@@ -42,7 +42,11 @@ type timelineEvent struct {
 
 // WriteTimeline merges the lanes into one Chrome-trace JSON document
 // on w. Events within each lane are sorted by adjusted start time, so
-// per-lane timestamps are monotone by construction.
+// per-lane timestamps are monotone by construction. Within a lane each
+// span gets a thread (tid) from packThreads, so concurrent spans —
+// parallel cells on a -jobs pool, a worker's cell slots, a
+// coordinator's leases — sit on separate tracks while a span nested in
+// another shares its parent's track.
 func WriteTimeline(w io.Writer, lanes []Lane) error {
 	var events []timelineEvent
 	t0 := int64(0)
@@ -61,8 +65,14 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 			Args: map[string]any{"name": ln.Name},
 		})
 		frags := append([]SpanFragment(nil), ln.Frags...)
-		sort.SliceStable(frags, func(i, j int) bool { return frags[i].Start < frags[j].Start })
-		for _, fr := range frags {
+		sort.SliceStable(frags, func(i, j int) bool {
+			if frags[i].Start != frags[j].Start {
+				return frags[i].Start < frags[j].Start
+			}
+			return frags[i].End > frags[j].End // an enclosing span before what it encloses
+		})
+		tids := packThreads(frags)
+		for i, fr := range frags {
 			args := map[string]any{"trace": fr.Trace, "span": fr.Span}
 			if fr.Parent != "" {
 				args["parent"] = fr.Parent
@@ -77,6 +87,7 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 				Name: fr.Name,
 				TS:   float64(fr.Start-int64(ln.Skew)-t0) / 1e3,
 				PID:  pid,
+				TID:  tids[i],
 				Args: args,
 			}
 			if fr.End > fr.Start {
@@ -95,6 +106,44 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 	}{TraceEvents: events, DisplayTimeUnit: "ms"}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
+}
+
+// packThreads assigns each fragment, sorted by start, a thread: its
+// parent's, when the parent's thread can take it, else the lowest tid
+// whose open spans either ended before it starts or fully contain it.
+// No two spans on one thread ever partly overlap, and a child (a cell's
+// build) stays under its own parent rather than under whichever
+// concurrent span happens to enclose it.
+func packThreads(frags []SpanFragment) []int {
+	tids := make([]int, len(frags))
+	tidOf := make(map[string]int, len(frags)) // span ID -> tid
+	// open holds, per tid, the end times of its still-open spans,
+	// outermost first.
+	var open [][]int64
+	fits := func(tid int, fr SpanFragment) bool {
+		stack := open[tid]
+		for len(stack) > 0 && stack[len(stack)-1] <= fr.Start {
+			stack = stack[:len(stack)-1]
+		}
+		open[tid] = stack
+		return len(stack) == 0 || fr.End <= stack[len(stack)-1]
+	}
+	for i, fr := range frags {
+		tid, ok := tidOf[fr.Parent]
+		if !ok || !fits(tid, fr) {
+			for tid = 0; tid < len(open) && !fits(tid, fr); tid++ {
+			}
+		}
+		if tid == len(open) {
+			open = append(open, nil)
+		}
+		open[tid] = append(open[tid], fr.End)
+		tids[i] = tid
+		if fr.Span != "" {
+			tidOf[fr.Span] = tid
+		}
+	}
+	return tids
 }
 
 // EstimateSkew estimates how far a remote lane's clock runs ahead of
