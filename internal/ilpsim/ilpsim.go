@@ -780,42 +780,28 @@ func attribute(e *runx.Error, m Model, et int, cycle int64) *runx.Error {
 // boundary and returned as a *runx.Error with the stack attached.
 //
 // The run is executed by the event-driven ready-list scheduler
-// (sched.go); set DEESIM_SCHEDULER=legacy to fall back to the retired
-// scan-every-cycle loop (runLegacy), kept for differential testing. The
-// two produce cycle-for-cycle identical Results. RunContext is safe to
-// call concurrently from multiple goroutines on one Sim.
+// (sched.go). The retired scan-every-cycle loop (runLegacy) stays
+// reachable only through RunLegacyContext, as the differential oracle;
+// the two produce cycle-for-cycle identical Results. RunContext is safe
+// to call concurrently from multiple goroutines on one Sim.
 func (s *Sim) RunContext(ctx context.Context, m Model, et int) (Result, error) {
 	const stage = "ilpsim.Run"
 	if et < 1 {
 		return Result{}, attribute(runx.Newf(runx.KindInvalidInput, stage, "branch-path resources ET must be >= 1, got %d", et), m, et, 0)
 	}
-	if useLegacyScheduler {
-		return s.runLegacy(ctx, m, et)
-	}
 	return s.runEvent(ctx, m, et)
 }
 
 // RunLegacyContext runs the cell on the retired scan-every-cycle
-// reference scheduler regardless of DEESIM_SCHEDULER. The differential
-// tests and the perf pipeline's same-run legacy-vs-event speedup
-// measurement (internal/perf) use it; everything else should call
-// RunContext.
+// reference scheduler. The differential tests and the perf pipeline's
+// same-run legacy-vs-event speedup measurement (internal/perf) use it;
+// everything else should call RunContext.
 func (s *Sim) RunLegacyContext(ctx context.Context, m Model, et int) (Result, error) {
 	const stage = "ilpsim.Run"
 	if et < 1 {
 		return Result{}, attribute(runx.Newf(runx.KindInvalidInput, stage, "branch-path resources ET must be >= 1, got %d", et), m, et, 0)
 	}
 	return s.runLegacy(ctx, m, et)
-}
-
-// RunEventContext runs the cell on the event-driven scheduler regardless
-// of DEESIM_SCHEDULER. See RunLegacyContext.
-func (s *Sim) RunEventContext(ctx context.Context, m Model, et int) (Result, error) {
-	const stage = "ilpsim.Run"
-	if et < 1 {
-		return Result{}, attribute(runx.Newf(runx.KindInvalidInput, stage, "branch-path resources ET must be >= 1, got %d", et), m, et, 0)
-	}
-	return s.runEvent(ctx, m, et)
 }
 
 // runSetup builds the per-run invariants shared by both schedulers: the

@@ -42,17 +42,11 @@ package ilpsim
 
 import (
 	"context"
-	"os"
 	"slices"
 
 	"deesim/internal/dee"
 	"deesim/internal/runx"
 )
-
-// useLegacyScheduler routes RunContext through the retired
-// scan-every-cycle loop. It exists as an escape hatch and for
-// differential debugging; the event scheduler is the default.
-var useLegacyScheduler = os.Getenv("DEESIM_SCHEDULER") == "legacy"
 
 // runState is the per-run arena: every mutable buffer one RunContext
 // call needs. Instances are recycled through Sim.pool; all slices keep
