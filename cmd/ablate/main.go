@@ -93,7 +93,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		dlFlag      = fs.Int("deadlock-limit", 0, fmt.Sprintf("abort a simulation after this many cycles without progress (0 = default %d)", ilpsim.DefaultDeadlockLimit))
 		journalFlag = fs.String("journal", "", "record completed studies to a crash-safe run journal at this path")
 		resumeFlag  = fs.String("resume", "", "resume an interrupted run from this journal (re-runs only unfinished studies)")
-		jobsFlag    = fs.Int("jobs", 1, "worker-pool size for the journaled run (studies are independent)")
+		jobsFlag    = fs.Int("jobs", 1, "worker-pool size (studies are independent)")
 		retriesFlag = fs.Int("retries", 2, "retries per study after the first attempt (retryable failures only)")
 		backoffFlag = fs.Duration("backoff", 500*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
 		memoDir     = fs.String("memo-dir", "", "content-addressed result-cache directory: repeated runs replay cached studies (empty = caching off)")
@@ -223,26 +223,19 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		return err
 	}
 
-	if *journalFlag == "" && *resumeFlag == "" {
-		for _, i := range selected {
-			if err := runStudy(ctx, studies[i].name, studies[i].run, stdout); err != nil {
-				return fail(err)
-			}
-		}
-		return 0
-	}
-
-	// Supervised path: each study is a journaled task whose payload is
-	// its rendered text; resume replays finished studies byte-for-byte.
-	meta := map[string]string{
-		"study": *study, "bench": *benchFlag, "et": *etFlag,
-		"max": strconv.FormatUint(*max, 10),
-	}
+	// Every run is a supervised one: each study is a task whose payload
+	// is its rendered text. With -journal/-resume the tasks are
+	// journaled, and resume replays finished studies byte-for-byte;
+	// without, the same pool runs them unjournaled.
 	var (
 		j     *superv.Journal
 		prior *superv.State
 		path  = *journalFlag
 	)
+	meta := map[string]string{
+		"study": *study, "bench": *benchFlag, "et": *etFlag,
+		"max": strconv.FormatUint(*max, 10),
+	}
 	if *resumeFlag != "" {
 		path = *resumeFlag
 		j, prior, err = superv.Resume(path, "ablate", meta)
@@ -250,10 +243,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "ablate: resuming %s: %s\n", path, prior.Summary(len(selected)))
-	} else if j, err = superv.Create(path, "ablate", meta); err != nil {
-		return fail(err)
+	} else if path != "" {
+		if j, err = superv.Create(path, "ablate", meta); err != nil {
+			return fail(err)
+		}
 	}
-	defer j.Close()
+	if j != nil {
+		defer j.Close()
+	}
 
 	var tasks []superv.Task
 	outputs := make(map[string]string, len(selected))
@@ -293,8 +290,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintf(stderr, "ablate: %d of %d studies completed — resume with: ablate -resume %s\n",
-			len(outputs), len(selected), path)
+		if j != nil {
+			fmt.Fprintf(stderr, "ablate: %d of %d studies completed — resume with: ablate -resume %s\n",
+				len(outputs), len(selected), path)
+		}
 		return fail(runErr)
 	}
 	return 0
