@@ -212,6 +212,12 @@ func TestWriteTimelinePacksThreads(t *testing.T) {
 		span("E", 60, 70),  // inside A, after B ended
 		span("F", 65, 90),  // partly overlaps E; inside C
 		span("G", 65, 130), // partly overlaps E and F
+		// Sibling inside sibling: Y runs entirely inside X, but both are
+		// J's children, so Y must not be drawn as X's child.
+		span("J", 400, 1000),
+		child("X", "J", 500, 900),
+		child("Y", "J", 600, 700), // X's sibling: its own thread
+		child("Z", "Y", 610, 620), // Y's child: Y's thread
 	}
 	var buf bytes.Buffer
 	if err := WriteTimeline(&buf, []Lane{{Name: "cli", Frags: frags}}); err != nil {
@@ -229,7 +235,8 @@ func TestWriteTimelinePacksThreads(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]int{"A": 0, "B": 0, "C": 1, "D": 0, "E": 0, "F": 1, "G": 2, "I": 0, "P": 0, "Q": 1, "R": 1, "S": 0}
+	want := map[string]int{"A": 0, "B": 0, "C": 1, "D": 0, "E": 0, "F": 1, "G": 2, "I": 0, "P": 0, "Q": 1, "R": 1, "S": 0,
+		"J": 0, "X": 0, "Y": 1, "Z": 1}
 	got := map[string]int{}
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "M" {

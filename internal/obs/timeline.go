@@ -110,23 +110,49 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 
 // packThreads assigns each fragment, sorted by start, a thread: its
 // parent's, when the parent's thread can take it, else the lowest tid
-// whose open spans either ended before it starts or fully contain it.
-// No two spans on one thread ever partly overlap, and a child (a cell's
-// build) stays under its own parent rather than under whichever
-// concurrent span happens to enclose it.
+// that can. A thread can take a span when its open spans all ended
+// before the span starts, or when the innermost open span fully
+// contains it and is its ancestor by parent id. No two spans on one
+// thread ever partly overlap, a child (a cell's build) stays under its
+// own parent, and a short cell that runs inside a concurrent sibling
+// cell gets a thread of its own rather than being drawn as that
+// sibling's child. A span without a parent id carries no lineage, so
+// any span that contains it can take it.
 func packThreads(frags []SpanFragment) []int {
 	tids := make([]int, len(frags))
-	tidOf := make(map[string]int, len(frags)) // span ID -> tid
-	// open holds, per tid, the end times of its still-open spans,
-	// outermost first.
-	var open [][]int64
+	tidOf := make(map[string]int, len(frags))       // span ID -> tid
+	parentOf := make(map[string]string, len(frags)) // span ID -> parent span ID
+	for _, fr := range frags {
+		if fr.Span != "" {
+			parentOf[fr.Span] = fr.Parent
+		}
+	}
+	ancestor := func(id string, fr SpanFragment) bool {
+		// The step bound guards against a parent cycle in bad input.
+		for p, n := fr.Parent, 0; p != "" && n <= len(frags); p, n = parentOf[p], n+1 {
+			if p == id {
+				return true
+			}
+		}
+		return false
+	}
+	type openSpan struct {
+		end int64
+		id  string
+	}
+	// open holds, per tid, its still-open spans, outermost first.
+	var open [][]openSpan
 	fits := func(tid int, fr SpanFragment) bool {
 		stack := open[tid]
-		for len(stack) > 0 && stack[len(stack)-1] <= fr.Start {
+		for len(stack) > 0 && stack[len(stack)-1].end <= fr.Start {
 			stack = stack[:len(stack)-1]
 		}
 		open[tid] = stack
-		return len(stack) == 0 || fr.End <= stack[len(stack)-1]
+		if len(stack) == 0 {
+			return true
+		}
+		in := stack[len(stack)-1]
+		return fr.End <= in.end && (fr.Parent == "" || ancestor(in.id, fr))
 	}
 	for i, fr := range frags {
 		tid, ok := tidOf[fr.Parent]
@@ -137,7 +163,7 @@ func packThreads(frags []SpanFragment) []int {
 		if tid == len(open) {
 			open = append(open, nil)
 		}
-		open[tid] = append(open[tid], fr.End)
+		open[tid] = append(open[tid], openSpan{fr.End, fr.Span})
 		tids[i] = tid
 		if fr.Span != "" {
 			tidOf[fr.Span] = tid
