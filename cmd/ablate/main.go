@@ -242,7 +242,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		fmt.Fprintf(stderr, "ablate: resuming %s: %s\n", path, prior.Summary(len(selected)))
+		fmt.Fprintf(stderr, "ablate: resuming %s: %s\n", path, superv.Summary(prior, len(selected)))
 	} else if path != "" {
 		if j, err = superv.Create(path, "ablate", meta); err != nil {
 			return fail(err)

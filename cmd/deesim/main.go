@@ -393,7 +393,7 @@ func runSweep(ctx context.Context, ws []bench.Workload, cfg experiments.Config, 
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(stderr, "deesim: resuming %s: %s\n", path, prior.Summary(total))
+		fmt.Fprintf(stderr, "deesim: resuming %s: %s\n", path, superv.Summary(prior, total))
 	} else if path != "" {
 		if j, err = superv.Create(path, "deesim", meta); err != nil {
 			return nil, err
@@ -420,7 +420,7 @@ func runSweep(ctx context.Context, ws []bench.Workload, cfg experiments.Config, 
 	if err != nil && path != "" {
 		if st, lerr := superv.Load(path); lerr == nil {
 			fmt.Fprintf(stderr, "deesim: journal %s: %s — resume with: deesim -resume %s\n",
-				path, st.Summary(total), path)
+				path, superv.Summary(st, total), path)
 		}
 	}
 	return results, err

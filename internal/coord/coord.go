@@ -5,15 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"deesim/internal/bench"
 	"deesim/internal/budget"
 	"deesim/internal/client"
 	"deesim/internal/durable"
@@ -187,27 +185,24 @@ type WorkerStatus struct {
 	LastBeat string `json:"last_beat"` // staleness, e.g. "1.2s"
 }
 
-// Coordinator is the distributed-sweep control plane. Create with New,
-// start the runner with Start, serve Handler() over HTTP, stop with
-// Drain. Sweeps run one at a time — the fleet is the parallelism.
+// Coordinator is the distributed-sweep control plane: FIFO admission,
+// the lease scheduler, the merge and the worker registry, over the
+// shared job runtime (server.Runtime: durable state, runner, drain).
+// Create with New, start the runner with Start, serve Handler() over
+// HTTP, stop with Drain. Sweeps run one at a time — the fleet is the
+// parallelism.
 type Coordinator struct {
-	*server.Store // sweeps/<id>/ records, recovery, status and the HTTP envelope
+	*server.Runtime // sweeps/<id>/ records, runner, drain, status and the HTTP envelope
 
-	cfg        Config
-	met        *coordMetrics
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	cfg Config
+	met *coordMetrics
 
-	mu          sync.Mutex
-	workers     map[string]*worker
-	wseq        int
-	waiting     int
-	queue       chan *server.Record
-	queueClosed bool
-	draining    bool
-	running     map[string]context.CancelFunc
-
-	wg sync.WaitGroup
+	// mu guards the worker registry and the admission queue.
+	mu      sync.Mutex
+	workers map[string]*worker
+	wseq    int
+	waiting int              // sweeps admitted but not yet running
+	queue   []*server.Record // FIFO of accepted sweeps
 }
 
 // New builds a coordinator over StateDir, recovering sweeps a previous
@@ -226,14 +221,10 @@ func New(cfg Config) (*Coordinator, error) {
 			return c
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:        cfg,
-		met:        newCoordMetrics(cfg.Metrics),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		workers:    make(map[string]*worker),
-		running:    make(map[string]context.CancelFunc),
+		cfg:     cfg,
+		met:     newCoordMetrics(cfg.Metrics),
+		workers: make(map[string]*worker),
 	}
 	// A corrupt result found on read is only quarantined: the next
 	// restart's recovery re-runs the sweep, replaying its cells from the
@@ -249,210 +240,99 @@ func New(cfg Config) (*Coordinator, error) {
 		},
 	})
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	c.Store = store
-	c.queue = make(chan *server.Record, cfg.QueueDepth+len(pending)+1)
-	for _, sw := range pending {
-		c.waiting++
-		c.queue <- sw
+	c.Runtime = server.NewRuntime(store, server.RuntimeConfig{
+		Runners: 1, DrainGrace: cfg.DrainGrace,
+		Journal: "coord.journal", Format: JournalFormat,
+		Next: c.pop, Run: c.runSweep,
+		Metrics: server.RuntimeMetrics{DeadlineTimeouts: c.met.deadlineTimeouts, Resumed: c.met.sweepsResumed},
+	})
+	c.queue, c.waiting = pending, len(pending)
+	for range pending {
+		c.Wake()
 	}
 	return c, nil
 }
 
-// Start launches the sweep runner. Call once.
-func (c *Coordinator) Start() {
-	c.wg.Add(1)
-	go c.runner()
+// pop removes and returns the oldest admitted sweep, or nil.
+func (c *Coordinator) pop() *server.Record {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.queue) == 0 {
+		return nil
+	}
+	sw := c.queue[0]
+	c.queue = c.queue[1:]
+	c.waiting--
+	return sw
 }
 
-func (c *Coordinator) runner() {
-	defer c.wg.Done()
-	for sw := range c.queue {
-		c.mu.Lock()
-		if c.draining {
-			c.mu.Unlock()
-			continue // durable on disk; the next process resumes it
-		}
-		c.waiting--
-		enqueued := c.Begin(sw)
-		ctx, cancel := context.WithCancel(c.baseCtx)
-		c.running[sw.ID] = cancel
-		c.mu.Unlock()
-
-		if tc, ok := sw.TraceCtx(); ok && !enqueued.IsZero() {
-			_ = c.cfg.Frags.Append(obs.SpanFragment{
-				Trace: tc.TraceID, Span: tc.Child().SpanID, Parent: tc.SpanID,
-				Name:  "queue-wait " + sw.ID,
-				Start: enqueued.UnixNano(), End: time.Now().UnixNano(),
-				Attrs: map[string]string{"sweep": sw.ID},
-			})
-		}
-		err := c.runSweep(ctx, sw)
-		cancel()
-		c.mu.Lock()
-		delete(c.running, sw.ID)
-		c.mu.Unlock()
-		c.Finish(sw, err)
+// runSweep is the coordinator's sweep body: lease and collect every
+// cell under the journal, then merge — and prove the merge.
+func (c *Coordinator) runSweep(ctx context.Context, job *server.Job) ([]byte, error) {
+	tasks := experiments.MatrixTasks(job.Workloads, job.Config)
+	done := make(map[string]json.RawMessage, len(tasks))
+	if job.Prior != nil {
+		maps.Copy(done, job.Prior.Done)
 	}
-}
-
-// runSweep executes one distributed sweep end to end: decompose,
-// lease/collect under the journal, then merge — and prove the merge.
-func (c *Coordinator) runSweep(ctx context.Context, sw *server.Record) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = runx.FromPanic(r, "coord.runSweep")
-		}
-	}()
-	ctx = obs.WithJobID(ctx, sw.ID)
-	// Rejoin the trace the submission minted: the sweep span is the
-	// coordinator's dispatch-to-merge record under the submission root,
-	// and every lease span below nests under it.
-	if tc, ok := sw.TraceCtx(); ok {
-		ctx = obs.WithTraceContext(ctx, tc)
-		ctx = obs.WithFragments(ctx, c.cfg.Frags)
-		var endSweep func()
-		ctx, endSweep = obs.StartSpan(ctx, "sweep "+sw.ID, map[string]string{"sweep": sw.ID})
-		defer endSweep()
-	}
-	ws, cfg, err := sw.Spec.Resolve()
-	if err != nil {
-		return err
-	}
-	timeout, err := parseSpecDuration("timeout", sw.Spec.Timeout)
-	if err != nil {
-		return err
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	deadline, err := sw.Spec.ParseDeadline()
-	if err != nil {
-		return err
-	}
-	if !deadline.IsZero() {
-		if !c.cfg.now().Before(deadline) {
-			c.met.deadlineTimeouts.Inc()
-			return runx.Newf(runx.KindTimeout, stageCoord,
-				"sweep %s: deadline %s already passed before dispatch", sw.ID, deadline.Format(time.RFC3339))
-		}
-		// The absolute SLO deadline rides the sweep context, so every
-		// outstanding lease RPC is cancelled the moment it passes; the
-		// re-label below makes the terminal error name the deadline rather
-		// than a bare context expiry.
-		var dcancel context.CancelFunc
-		ctx, dcancel = context.WithDeadline(ctx, deadline)
-		defer dcancel()
-		defer func() {
-			if err != nil && runx.IsKind(err, runx.KindTimeout) && !time.Now().Before(deadline) {
-				c.met.deadlineTimeouts.Inc()
-				err = runx.Newf(runx.KindTimeout, stageCoord,
-					"sweep %s exceeded its deadline %s: %w", sw.ID, deadline.Format(time.RFC3339), err)
-			}
-		}()
-	}
-
-	tasks := experiments.MatrixTasks(ws, cfg)
-	meta := experiments.MatrixMeta(ws, cfg)
-	jpath := filepath.Join(c.Dir(sw.ID), "coord.journal")
-	var (
-		jr    *Journal
-		prior *State
-	)
-	if fileExists(jpath) {
-		jr, prior, err = ResumeFS(c.cfg.FS, jpath, "deesim-coord", meta)
-		if err != nil {
-			if runx.IsKind(err, runx.KindUnavailable) {
-				return err // disk full, not damage: park for resume
-			}
-			qp, qerr := c.QuarantineJournal(sw.ID, jpath, err)
-			if qerr != nil {
-				return qerr
-			}
-			c.cfg.Logf("deesim-coord: sweep %s: journal unusable (%v), quarantined to %s, restarting from scratch", sw.ID, err, qp)
-			jr, prior = nil, nil
-		} else {
-			c.met.sweepsResumed.Inc()
-			c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", sw.ID, prior.Summary(len(tasks)))
-		}
-	}
-	if jr == nil {
-		if jr, err = CreateFS(c.cfg.FS, jpath, "deesim-coord", meta); err != nil {
-			return err
-		}
-	}
-	defer jr.Close()
-
 	// Memo prefill: cells the cache already holds become durable done
 	// records from the pseudo-worker "memo" before any lease is granted,
 	// so the fleet only computes what no prior sweep has. The journal
 	// record makes the hit crash-safe the same way a real completion is.
 	memoKeys := make(map[string]string)
 	if c.cfg.Memo != nil {
-		if prior == nil {
-			prior = newState()
-		}
 		for _, t := range tasks {
 			key := t.Key()
-			memoKeys[key] = experiments.CellMemoKey(cfg, t)
-			if _, ok := prior.Done[key]; ok {
+			memoKeys[key] = experiments.CellMemoKey(job.Config, t)
+			if _, ok := done[key]; ok {
 				continue
 			}
 			data, ok := c.cfg.Memo.Get(memoKeys[key])
 			if !ok {
 				continue
 			}
-			if err := jr.Append(Record{Kind: KindDone, Key: key, Worker: "memo", Result: data}); err != nil {
-				return err
+			if err := job.Journal.Append(Record{Kind: KindDone, Key: key, Worker: "memo", Result: data}); err != nil {
+				return nil, err
 			}
-			prior.Done[key] = data
+			done[key] = data
 		}
 	}
 
-	sched := newScheduler(c, sw, tasks, jr, prior)
+	sched := newScheduler(c, job.Record, tasks, job.Journal, done)
 	sched.memo, sched.memoKeys = c.cfg.Memo, memoKeys
 	done, err := sched.run(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.mergeAndWrite(ctx, sw, ws, cfg, tasks, done)
+	return c.merge(ctx, job, tasks, done)
 }
 
-// mergeAndWrite replays the collected cell payloads through the SAME
+// merge replays the collected cell payloads through the SAME
 // aggregation path a single-node run uses — RunMatrixContext with the
 // full cell set as prior state executes nothing and merges everything —
-// then writes the result file with the identical final encoding. That
+// and renders the result with the identical final encoding. That
 // construction, plus the completeness check below, is the merge proof:
 // there is no coordinator-specific math to diverge.
-func (c *Coordinator) mergeAndWrite(ctx context.Context, sw *server.Record, ws []bench.Workload, cfg experiments.Config, tasks []experiments.MatrixTask, done map[string]json.RawMessage) error {
-	ctx, endMerge := obs.StartSpan(ctx, "merge "+sw.ID, map[string]string{"sweep": sw.ID})
+func (c *Coordinator) merge(ctx context.Context, job *server.Job, tasks []experiments.MatrixTask, done map[string]json.RawMessage) ([]byte, error) {
+	ctx, endMerge := obs.StartSpan(ctx, "merge "+job.ID, map[string]string{"sweep": job.ID})
 	defer endMerge()
 	for _, t := range tasks {
 		if _, ok := done[t.Key()]; !ok {
-			return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", sw.ID, t.Key())
+			return nil, runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", job.ID, t.Key())
 		}
 	}
-	prior := &superv.State{Replay: durable.Replay{Done: done}}
-	results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{Jobs: 1, Prior: prior})
+	prior := &superv.State{Done: done}
+	results, err := experiments.RunMatrixContext(ctx, job.Workloads, job.Config, experiments.MatrixConfig{Jobs: 1, Prior: prior})
 	if err != nil {
-		return runx.Annotate(err, "sweep "+sw.ID+" merge")
+		return nil, runx.Annotate(err, "sweep "+job.ID+" merge")
 	}
 	c.met.mergeChecks.Inc()
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		return runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", sw.ID, err)
+		return nil, runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", job.ID, err)
 	}
-	if err := durable.WriteFileAtomic(c.cfg.FS, c.ResultPath(sw.ID), append(data, '\n')); err != nil {
-		if durable.IsNoSpace(err) {
-			return runx.Newf(runx.KindUnavailable, stageCoord, "sweep %s: write result: %w", sw.ID, err)
-		}
-		return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: write result: %w", sw.ID, err)
-	}
-	return nil
+	return append(data, '\n'), nil
 }
 
 // Submit admits a distributed sweep with the worker daemon's admission
@@ -478,11 +358,10 @@ func (c *Coordinator) SubmitCtx(ctx context.Context, sp server.Spec) (*server.Jo
 	if err := c.LowDiskErr(); err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
+	if c.Draining() {
 		return nil, runx.Newf(runx.KindUnavailable, stageCoord, "draining: not accepting new sweeps")
 	}
+	c.mu.Lock()
 	if c.waiting >= c.cfg.QueueDepth {
 		c.mu.Unlock()
 		return nil, runx.Newf(runx.KindOverload, stageCoord,
@@ -493,100 +372,16 @@ func (c *Coordinator) SubmitCtx(ctx context.Context, sp server.Spec) (*server.Jo
 
 	sw, err := c.Create(ctx, sp)
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if err != nil {
 		c.waiting--
+		c.mu.Unlock()
 		return nil, err
 	}
-	if !c.queueClosed {
-		c.queue <- sw
-	}
-	return c.Snapshot(sw), nil
-}
-
-// Draining reports whether drain has begun.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain gracefully stops the coordinator: admission closes, the
-// running sweep gets DrainGrace to finish, then its context is
-// canceled — every granted lease is already journaled, so the next
-// start resumes without re-running completed cells.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	if !c.draining {
-		c.draining = true
-		if !c.queueClosed {
-			close(c.queue)
-			c.queueClosed = true
-		}
-	}
+	js := c.Snapshot(sw) // queued: no runner can see the sweep yet
+	c.queue = append(c.queue, sw)
 	c.mu.Unlock()
-	c.cfg.Logf("deesim-coord: draining: admission closed, waiting up to %s for the running sweep", c.cfg.DrainGrace)
-
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	grace := time.NewTimer(c.cfg.DrainGrace)
-	defer grace.Stop()
-	select {
-	case <-done:
-	case <-grace.C:
-		c.cfg.Logf("deesim-coord: drain grace expired, canceling the running sweep (progress stays journaled)")
-		c.cancelRunning()
-		<-done
-	case <-ctx.Done():
-		c.cancelRunning()
-		<-done
-	}
-	c.baseCancel()
-	return nil
-}
-
-func (c *Coordinator) cancelRunning() {
-	c.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(c.running))
-	for _, cf := range c.running {
-		cancels = append(cancels, cf)
-	}
-	c.mu.Unlock()
-	for _, cf := range cancels {
-		cf()
-	}
-}
-
-// Close hard-stops the coordinator (tests).
-func (c *Coordinator) Close() {
-	c.mu.Lock()
-	c.draining = true
-	if !c.queueClosed {
-		close(c.queue)
-		c.queueClosed = true
-	}
-	c.mu.Unlock()
-	c.baseCancel()
-	c.wg.Wait()
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-func parseSpecDuration(name, val string) (time.Duration, error) {
-	if val == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(val)
-	if err != nil || d < 0 {
-		return 0, runx.Newf(runx.KindInvalidInput, stageCoord, "bad %s %q (want a non-negative Go duration like \"30s\")", name, val)
-	}
-	return d, nil
+	c.Wake()
+	return js, nil
 }
 
 // ---- Worker registry ----

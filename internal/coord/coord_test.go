@@ -435,7 +435,7 @@ func TestNonRetryableCellFailsSweep(t *testing.T) {
 	if final.Kind != runx.KindInvalidInput.String() {
 		t.Errorf("failure kind = %q, want %q", final.Kind, runx.KindInvalidInput.String())
 	}
-	if !fileExists(filepath.Join(c.Dir(st.ID), "failed.json")) {
+	if !c.Exists(filepath.Join(c.Dir(st.ID), "failed.json")) {
 		t.Error("permanent failure not recorded to failed.json")
 	}
 	if got := counter(c, "deesim_coord_cells_failed_total"); got == 0 {

@@ -87,34 +87,22 @@ type scheduler struct {
 	memoKeys map[string]string
 }
 
-func newScheduler(c *Coordinator, sw *server.Record, tasks []experiments.MatrixTask, jr *Journal, prior *State) *scheduler {
-	retries := sw.Spec.Retries
-	if retries <= 0 {
-		retries = c.cfg.CellRetries
-	}
-	backoff := c.cfg.Backoff
-	if d, err := parseSpecDuration("backoff", sw.Spec.Backoff); err == nil && d > 0 {
-		backoff = d
-	}
+func newScheduler(c *Coordinator, sw *server.Record, tasks []experiments.MatrixTask, jr *Journal, done map[string]json.RawMessage) *scheduler {
+	retry := sw.Spec.RetryPolicy(c.cfg.CellRetries, c.cfg.Backoff)
 	s := &scheduler{
 		c:      c,
 		sw:     sw,
 		jr:     jr,
-		retry:  superv.RetryPolicy{Attempts: retries + 1, Backoff: backoff},
-		max:    retries + 1,
+		retry:  retry,
+		max:    retry.Attempts,
 		tasks:  tasks,
 		leases: make(map[string]*lease),
 		byKey:  make(map[string]int),
-		done:   make(map[string]json.RawMessage),
+		done:   done,
 		events: make(chan completion),
 	}
 	if dl, err := sw.Spec.ParseDeadline(); err == nil {
 		s.deadline = dl
-	}
-	if prior != nil {
-		for k, v := range prior.Done {
-			s.done[k] = v
-		}
 	}
 	for _, t := range tasks {
 		key := t.Key()

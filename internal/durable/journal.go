@@ -17,16 +17,29 @@ import (
 // of) every journal header.
 const journalVersion = 1
 
-// Journal record kinds the framing itself owns. Every other kind
-// (start, assign, expire, fail, ...) belongs to the package whose apply
-// rules fold it into state.
+// Journal record kinds. The framing owns the header; State.apply folds
+// every other kind. A record either begins an attempt at a key (start
+// in a superv run journal, assign in a coordinator journal), ends one
+// without completing it (fail, expire), or completes the key (done).
 const (
 	// kindHeader is the kind of a journal's first record, which names
 	// the writing tool and the run identity.
 	kindHeader = "header"
+	// KindStart marks a supervised task attempt beginning.
+	KindStart = "start"
+	// KindAssign marks a lease grant: the cell was durably assigned to a
+	// worker before the dispatch RPC left the coordinator.
+	KindAssign = "assign"
 	// KindDone marks a task or cell completion; the record carries its
 	// JSON result payload. Resume compacts a journal down to these.
 	KindDone = "done"
+	// KindFail marks an attempt failing with a typed error; the record
+	// carries the error text, its runx kind, and whether it was deemed
+	// retryable.
+	KindFail = "fail"
+	// KindExpire marks a lease the coordinator revoked (TTL passed,
+	// heartbeat lost, dispatch failed); the cell returns to pending.
+	KindExpire = "expire"
 )
 
 // Record is one line of a checksummed JSONL journal. A journal is a
@@ -103,26 +116,80 @@ func verifyRecordSum(rec Record) error {
 	return nil
 }
 
-// JournalFormat is one journal flavour: what the shared framing needs
-// from the package that owns the record kinds.
+// JournalFormat is one journal flavour: the stage its errors carry, its
+// append instrumentation and its resume digest. Every flavour replays
+// through the one State.apply.
 type JournalFormat struct {
 	// Stage attributes every error, e.g. "superv.Journal".
 	Stage string
 	// OnAppend, if non-nil, runs after each fsync'd append (metrics).
 	OnAppend func()
+	// Summary renders a replayed state as the one-line progress digest
+	// the owning package logs on resume; total is the run's key count.
+	Summary func(st *State, total int) string
 }
 
-// Replay is the kind-independent digest of a journal replay. The
-// owning package's apply function fills Done under its own rules;
-// the framing fills the rest.
-type Replay struct {
+// State is the digest of a journal replay.
+type State struct {
 	Tool string
 	Meta map[string]string
-	// Done maps completed keys to their recorded result payloads.
+	// Done maps completed keys to their recorded result payloads. The
+	// first durable done record for a key wins.
 	Done map[string]json.RawMessage
+	// Attempts maps keys that were begun (and possibly failed or
+	// expired) but never completed to the highest attempt number the
+	// journal records. Keys here were in flight when the writer
+	// stopped; a resumed run re-queues them.
+	Attempts map[string]int
+	// Duplicates counts done records discarded because an earlier done
+	// record for the same key was already durable.
+	Duplicates int
 	// Truncated is the number of bytes of torn final record dropped
 	// during recovery (0 for a cleanly closed journal).
 	Truncated int
+}
+
+func newState() *State {
+	return &State{Done: make(map[string]json.RawMessage), Attempts: make(map[string]int)}
+}
+
+// apply folds one post-header record into the state. An attempt-begun
+// record without an attempt number counts one more attempt; an
+// attempt-ended record only raises the count to the attempt it names.
+// Records for a key already done change nothing but the duplicate
+// count.
+func (st *State) apply(rec Record) error {
+	if rec.Key == "" {
+		return fmt.Errorf("%s record without a key", rec.Kind)
+	}
+	_, done := st.Done[rec.Key]
+	switch rec.Kind {
+	case KindStart, KindAssign:
+		if !done {
+			if rec.Attempt > st.Attempts[rec.Key] {
+				st.Attempts[rec.Key] = rec.Attempt
+			} else if rec.Attempt <= 0 {
+				st.Attempts[rec.Key]++
+			}
+		}
+	case KindFail, KindExpire:
+		if !done && rec.Attempt > st.Attempts[rec.Key] {
+			st.Attempts[rec.Key] = rec.Attempt
+		}
+	case KindDone:
+		if len(rec.Result) == 0 {
+			return fmt.Errorf("done record for %s without a result payload", rec.Key)
+		}
+		if done {
+			st.Duplicates++
+			return nil
+		}
+		st.Done[rec.Key] = rec.Result
+		delete(st.Attempts, rec.Key)
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.Kind)
+	}
+	return nil
 }
 
 // Journal is an open, appendable journal. All methods are safe for
@@ -216,24 +283,26 @@ func (j *Journal) Close() error {
 }
 
 // Load reads the journal at path and replays it (see Decode).
-func (jf *JournalFormat) Load(fsys FS, path string, r *Replay, apply func(Record) error) error {
+func (jf *JournalFormat) Load(fsys FS, path string) (*State, error) {
 	data, err := Or(fsys).ReadFile(path)
 	if err != nil {
-		return runx.Newf(runx.KindInvalidInput, jf.Stage, "read %s: %w", path, err)
+		return nil, runx.Newf(runx.KindInvalidInput, jf.Stage, "read %s: %w", path, err)
 	}
-	return jf.Decode(data, r, apply)
+	return jf.Decode(data)
 }
 
-// Decode replays in-memory journal bytes into r, handing every record
-// after the header to apply. Recovery tolerates exactly one failure
-// mode — a torn final record from a crash mid-write: a final line that
-// is unterminated, unparsable, fails its sum, or is refused by apply is
-// dropped and counted in r.Truncated. Any other damage (a missing or
+// Decode replays in-memory journal bytes into a State, folding every
+// record after the header through State.apply. Recovery tolerates
+// exactly one failure mode — a torn final record from a crash
+// mid-write: a final line that is unterminated, unparsable, fails its
+// sum, or is refused by apply is dropped and counted in
+// State.Truncated. Any other damage (a missing or
 // wrong-version header, a bad record before the final line) is a typed
 // *runx.Error of kind KindCorrupt, because a journal damaged mid-file
 // cannot be trusted to say what completed. Decode never panics on
 // arbitrary bytes; the journal fuzzers hold it to that.
-func (jf *JournalFormat) Decode(data []byte, r *Replay, apply func(Record) error) error {
+func (jf *JournalFormat) Decode(data []byte) (*State, error) {
+	r := newState()
 	rest := data
 	sawHeader := false
 	lineNo := 0
@@ -262,17 +331,17 @@ func (jf *JournalFormat) Decode(data []byte, r *Replay, apply func(Record) error
 		case err != nil:
 		case !sawHeader:
 			if rec.Kind != kindHeader {
-				return runx.Newf(runx.KindCorrupt, jf.Stage, "line %d: first record is %q, want header", lineNo, rec.Kind)
+				return nil, runx.Newf(runx.KindCorrupt, jf.Stage, "line %d: first record is %q, want header", lineNo, rec.Kind)
 			}
 			if rec.Version != journalVersion {
-				return runx.Newf(runx.KindCorrupt, jf.Stage, "journal version %d, this build reads %d", rec.Version, journalVersion)
+				return nil, runx.Newf(runx.KindCorrupt, jf.Stage, "journal version %d, this build reads %d", rec.Version, journalVersion)
 			}
 			r.Tool, r.Meta = rec.Tool, rec.Meta
 			sawHeader = true
 		case rec.Kind == kindHeader:
 			err = fmt.Errorf("second header record")
 		default:
-			err = apply(rec)
+			err = r.apply(rec)
 		}
 		if err == nil {
 			continue
@@ -285,39 +354,45 @@ func (jf *JournalFormat) Decode(data []byte, r *Replay, apply func(Record) error
 			r.Truncated = len(line) + 1
 			break
 		}
-		return runx.Newf(runx.KindCorrupt, jf.Stage, "line %d: %w", lineNo, err)
+		return nil, runx.Newf(runx.KindCorrupt, jf.Stage, "line %d: %w", lineNo, err)
 	}
 	if !sawHeader {
-		return runx.Newf(runx.KindCorrupt, jf.Stage, "no journal header (empty or truncated before the header record)")
+		return nil, runx.Newf(runx.KindCorrupt, jf.Stage, "no journal header (empty or truncated before the header record)")
 	}
-	return nil
+	return r, nil
 }
 
-// Resume reopens a replayed journal for a continued run: it verifies
-// the header names the same tool and agrees with meta on every key
-// both carry, then writes a compacted checkpoint — header plus one done
-// record per completed key — to a temp file and atomically renames it
-// over the journal before reopening for append. The checkpoint bounds
-// journal growth across repeated crashes and guarantees the resumed
-// file starts from a clean, fully-terminated prefix.
-func (jf *JournalFormat) Resume(fsys FS, path, tool string, meta map[string]string, r *Replay) (*Journal, error) {
+// Resume reopens the journal at path for a continued run: it replays
+// it (tolerating a torn tail), verifies the header names the same tool
+// and agrees with meta on every key both carry, then writes a
+// compacted checkpoint — header plus one done record per completed key
+// — to a temp file and atomically renames it over the journal before
+// reopening for append. The checkpoint bounds journal growth across
+// repeated crashes and guarantees the resumed file starts from a
+// clean, fully-terminated prefix. It returns the reopened journal and
+// the replayed state.
+func (jf *JournalFormat) Resume(fsys FS, path, tool string, meta map[string]string) (*Journal, *State, error) {
 	fsys = Or(fsys)
+	r, err := jf.Load(fsys, path)
+	if err != nil {
+		return nil, nil, err
+	}
 	if r.Tool != tool {
-		return nil, runx.Newf(runx.KindCorrupt, jf.Stage,
+		return nil, nil, runx.Newf(runx.KindCorrupt, jf.Stage,
 			"journal %s was recorded by %q, not %q", path, r.Tool, tool)
 	}
 	for k, v := range r.Meta {
 		// Keys absent from this run are ignored, so fields added between
 		// versions do not poison old journals.
 		if want, ok := meta[k]; ok && want != v {
-			return nil, runx.Newf(runx.KindInvalidInput, jf.Stage,
+			return nil, nil, runx.Newf(runx.KindInvalidInput, jf.Stage,
 				"journal %s was recorded with %s=%q, this run has %q (start a fresh journal instead)", path, k, v, want)
 		}
 	}
 	SweepStale(fsys, filepath.Dir(path))
 	tmp, err := TempFile(fsys, path, "ckpt")
 	if err != nil {
-		return nil, runx.Newf(openKind(err), jf.Stage, "checkpoint temp: %w", err)
+		return nil, nil, runx.Newf(openKind(err), jf.Stage, "checkpoint temp: %w", err)
 	}
 	defer fsys.Remove(tmp.Name()) // no-op after a successful rename
 	w := bufio.NewWriter(tmp)
@@ -351,14 +426,14 @@ func (jf *JournalFormat) Resume(fsys FS, path, tool string, meta map[string]stri
 		err = cerr
 	}
 	if err != nil {
-		return nil, runx.Newf(writeKind(err), jf.Stage, "write checkpoint: %w", err)
+		return nil, nil, runx.Newf(writeKind(err), jf.Stage, "write checkpoint: %w", err)
 	}
 	if err := RenameAndSync(fsys, tmp.Name(), path); err != nil {
-		return nil, runx.Newf(writeKind(err), jf.Stage, "swap checkpoint: %w", err)
+		return nil, nil, runx.Newf(writeKind(err), jf.Stage, "swap checkpoint: %w", err)
 	}
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, runx.Newf(openKind(err), jf.Stage, "reopen %s: %w", path, err)
+		return nil, nil, runx.Newf(openKind(err), jf.Stage, "reopen %s: %w", path, err)
 	}
-	return &Journal{format: jf, f: f, path: path}, nil
+	return &Journal{format: jf, f: f, path: path}, r, nil
 }

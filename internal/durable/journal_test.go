@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,22 +8,17 @@ import (
 	"deesim/internal/runx"
 )
 
-// testFormat is a journal flavour whose apply accepts "ok" records and
-// refuses everything else, so the framing rules are visible on their
-// own.
-func testFormat(appends *int) (*JournalFormat, func(Record) error) {
-	jf := &JournalFormat{Stage: "test.Journal", OnAppend: func() { *appends++ }}
-	return jf, func(rec Record) error {
-		if rec.Kind != "ok" {
-			return errors.New("refused")
-		}
-		return nil
-	}
+// testFormat is a journal flavour that counts its appends; its
+// fixtures use start records, which State.apply accepts, and an
+// unknown "bad" kind, which it refuses, so the framing rules are
+// visible on their own.
+func testFormat(appends *int) *JournalFormat {
+	return &JournalFormat{Stage: "test.Journal", OnAppend: func() { *appends++ }}
 }
 
 func TestJournalFramingRules(t *testing.T) {
 	const hdr = `{"kind":"header","v":1,"tool":"t"}` + "\n"
-	const ok = `{"kind":"ok","key":"a"}` + "\n"
+	const ok = `{"kind":"start","key":"a"}` + "\n"
 	const bad = `{"kind":"bad","key":"a"}` + "\n"
 	cases := []struct {
 		name, data string
@@ -33,7 +27,7 @@ func TestJournalFramingRules(t *testing.T) {
 	}{
 		{"header only", hdr, 0, false},
 		{"records", hdr + ok + ok, 0, false},
-		{"unterminated tail", hdr + ok + `{"kind":"ok"`, len(`{"kind":"ok"`), false},
+		{"unterminated tail", hdr + ok + `{"kind":"start"`, len(`{"kind":"start"`), false},
 		{"refused final record", hdr + ok + bad, len(bad), false},
 		{"refused interior record", hdr + bad + ok, 0, true},
 		{"unparsable interior record", hdr + "{x\n" + ok, 0, true},
@@ -44,10 +38,9 @@ func TestJournalFramingRules(t *testing.T) {
 		{"empty", "", 0, true},
 	}
 	var n int
-	jf, apply := testFormat(&n)
+	jf := testFormat(&n)
 	for _, tc := range cases {
-		var r Replay
-		err := jf.Decode([]byte(tc.data), &r, apply)
+		r, err := jf.Decode([]byte(tc.data))
 		if tc.corrupt {
 			if !runx.IsKind(err, runx.KindCorrupt) {
 				t.Errorf("%s: err = %v, want KindCorrupt", tc.name, err)
@@ -71,14 +64,14 @@ func TestJournalFramingRules(t *testing.T) {
 // parses and its owner would accept it.
 func TestJournalSumGuardsEveryRecord(t *testing.T) {
 	var n int
-	jf, apply := testFormat(&n)
+	jf := testFormat(&n)
 	path := filepath.Join(t.TempDir(), "j")
 	j, err := jf.Create(nil, path, "t", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{"a", "b"} {
-		if err := j.Append(Record{Kind: "ok", Key: key}); err != nil {
+		if err := j.Append(Record{Kind: KindStart, Key: key}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,14 +83,14 @@ func TestJournalSumGuardsEveryRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jf.Decode(data, &Replay{}, apply); err != nil {
+	if _, err := jf.Decode(data); err != nil {
 		t.Fatal(err)
 	}
 	edited := strings.Replace(string(data), `"key":"a"`, `"key":"z"`, 1)
-	if err := jf.Decode([]byte(edited), &Replay{}, apply); !runx.IsKind(err, runx.KindCorrupt) {
+	if _, err := jf.Decode([]byte(edited)); !runx.IsKind(err, runx.KindCorrupt) {
 		t.Errorf("edited interior record: %v, want KindCorrupt", err)
 	}
-	if err := j.Append(Record{Kind: "ok", Key: "c"}); !runx.IsKind(err, runx.KindInvalidInput) {
+	if err := j.Append(Record{Kind: KindStart, Key: "c"}); !runx.IsKind(err, runx.KindInvalidInput) {
 		t.Errorf("append after close: %v, want KindInvalidInput", err)
 	}
 }

@@ -60,8 +60,8 @@ func TestV1SupervJournalLoadsVerifiesAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Tool != "deesim" || len(st.Done) != 2 || st.Pending["xlisp/default|DEE-CD-MF|ET=8"] != 1 || st.Truncated != 0 {
-		t.Fatalf("replayed state: tool %q, done %d, pending %v, torn %d", st.Tool, len(st.Done), st.Pending, st.Truncated)
+	if st.Tool != "deesim" || len(st.Done) != 2 || st.Attempts["xlisp/default|DEE-CD-MF|ET=8"] != 1 || st.Truncated != 0 {
+		t.Fatalf("replayed state: tool %q, done %d, pending %v, torn %d", st.Tool, len(st.Done), st.Attempts, st.Truncated)
 	}
 	j, st, err := superv.Resume(path, "deesim", v1Meta)
 	if err != nil {

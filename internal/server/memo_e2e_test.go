@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"deesim/internal/experiments"
 	"deesim/internal/memo"
 	"deesim/internal/obs"
+	"deesim/internal/superv"
 )
 
 // The thundering-herd acceptance test: 32 concurrent identical
@@ -210,5 +213,42 @@ func TestMemoServerSurvivesRestartWarm(t *testing.T) {
 	_, second := getJSON(t, hs2.URL+"/v1/jobs/"+st2.ID+"/result")
 	if !bytes.Equal(first, second) {
 		t.Errorf("warm result differs from the run that populated the cache")
+	}
+}
+
+// TestWarmRepeatAppendsNoCellRecords is why the whole-spec memo layer
+// exists on top of the per-cell one: a warm repeat is served from the
+// sweep entry without touching its cells, so its run.journal holds the
+// header and nothing else. With cell hits alone every cell would still
+// cost one fsync'd done record.
+func TestWarmRepeatAppendsNoCellRecords(t *testing.T) {
+	s, base := newMemoServer(t, Config{})
+	var ids []string
+	for i := 0; i < 2; i++ {
+		st, err := s.Submit(smokeSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, base, st.ID, StateDone, 30*time.Second)
+		ids = append(ids, st.ID)
+	}
+	cold, err := superv.Load(filepath.Join(s.Dir(ids[0]), "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cold.Done) != 4 {
+		t.Fatalf("cold run journaled %d done cells, want 4", len(cold.Done))
+	}
+	raw, err := os.ReadFile(filepath.Join(s.Dir(ids[1]), "run.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(raw, []byte("\n")); n != 1 {
+		t.Errorf("warm repeat's run.journal has %d records, want only the header:\n%s", n, raw)
+	}
+	_, first := getJSON(t, base+"/v1/jobs/"+ids[0]+"/result")
+	_, second := getJSON(t, base+"/v1/jobs/"+ids[1]+"/result")
+	if !bytes.Equal(first, second) {
+		t.Error("warm repeat's result differs from the cold run's")
 	}
 }

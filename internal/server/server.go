@@ -28,7 +28,6 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"time"
@@ -199,17 +198,16 @@ type JobStatus struct {
 	Deadline   string `json:"deadline,omitempty"`
 }
 
-// Server is the deesimd core: admission queue, worker pool, job
-// registry, and durable state. Create with New, start workers with
-// Start, serve Handler() over HTTP, and stop with Drain (graceful) or
-// Close (hard, for tests).
+// Server is the deesimd core: admission lanes and brownout over the
+// shared job runtime (Runtime: durable state, runners, drain), plus the
+// leased-cell endpoint. Create with New, start runners with Start,
+// serve Handler() over HTTP, and stop with Drain (graceful) or Close
+// (hard, for tests).
 type Server struct {
-	*Store // jobs/<id>/ records, recovery, status and the HTTP envelope
+	*Runtime // jobs/<id>/ records, runners, drain, status and the HTTP envelope
 
-	cfg        Config
-	met        *serverMetrics
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	cfg Config
+	met *serverMetrics
 
 	cellSlots   chan struct{} // leased-cell admission (capacity CellSlots)
 	cellsActive int64         // leased cells executing right now (atomic)
@@ -219,13 +217,7 @@ type Server struct {
 	waitingBatch int       // queued batch jobs, against BatchQueueDepth
 	pendInt      []*Record // interactive lane, FIFO
 	pendBatch    []*Record // batch lane, FIFO; drained only when pendInt is empty
-	wake         chan struct{}
-	wakeClosed   bool
-	draining     bool
-	brownout     int // last published brownout level (gauge shadow)
-	running      map[string]context.CancelFunc
-
-	wg sync.WaitGroup
+	brownout     int       // last published brownout level (gauge shadow)
 }
 
 const stageServer = "server"
@@ -236,14 +228,10 @@ const stageServer = "server"
 // finished cells). It does not start workers; call Start.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		met:        newServerMetrics(cfg.Metrics),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		cellSlots:  make(chan struct{}, cfg.CellSlots),
-		running:    make(map[string]context.CancelFunc),
+		cfg:       cfg,
+		met:       newServerMetrics(cfg.Metrics),
+		cellSlots: make(chan struct{}, cfg.CellSlots),
 	}
 	store, pending, err := NewStore(StoreConfig{
 		Root: cfg.StateDir, Daemon: "deesimd", Noun: "job", Stage: stageServer,
@@ -260,19 +248,22 @@ func New(cfg Config) (*Server, error) {
 		OnDegraded: s.noteReadsOnly,
 	})
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	s.Store = store
-	// Capacity covers both lanes' admission bounds plus everything
-	// recovery may enqueue, so wake-token sends made while holding s.mu
-	// can never block.
-	s.wake = make(chan struct{}, cfg.QueueDepth+cfg.BatchQueueDepth+len(pending)+cfg.Workers)
+	s.Runtime = NewRuntime(store, RuntimeConfig{
+		Runners: cfg.Workers, DrainGrace: cfg.DrainGrace, Timeout: cfg.JobTimeout,
+		Journal: "run.journal", Format: superv.JournalFormat,
+		Next: s.pop, Run: s.runSweep,
+		Metrics: RuntimeMetrics{
+			DeadlineTimeouts: s.met.deadlineTimeouts, Inflight: s.met.inflight,
+			QueueWait: s.met.queueWait, Run: s.met.jobRun,
+		},
+	})
 	for _, jb := range pending {
 		jb.Enqueued = time.Now()
 		s.pushLocked(jb)
 		s.met.jobsResumed.Inc()
-		s.wake <- struct{}{}
+		s.Wake()
 	}
 	s.updateQueueGaugesLocked()
 	return s, nil
@@ -292,23 +283,24 @@ func (s *Server) pushLocked(jb *Record) {
 	}
 }
 
-// popLocked removes and returns the next job to run — interactive
-// strictly before batch — or nil when both lanes are empty. Caller
-// holds s.mu.
-func (s *Server) popLocked() *Record {
-	if len(s.pendInt) > 0 {
-		jb := s.pendInt[0]
-		s.pendInt = s.pendInt[1:]
+// pop removes and returns the next job to run — interactive strictly
+// before batch — or nil when both lanes are empty.
+func (s *Server) pop() *Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var jb *Record
+	switch {
+	case len(s.pendInt) > 0:
+		jb, s.pendInt = s.pendInt[0], s.pendInt[1:]
 		s.waitingInt--
-		return jb
-	}
-	if len(s.pendBatch) > 0 {
-		jb := s.pendBatch[0]
-		s.pendBatch = s.pendBatch[1:]
+	case len(s.pendBatch) > 0:
+		jb, s.pendBatch = s.pendBatch[0], s.pendBatch[1:]
 		s.waitingBatch--
-		return jb
+	default:
+		return nil
 	}
-	return nil
+	s.updateQueueGaugesLocked()
+	return jb
 }
 
 func (s *Server) updateQueueGaugesLocked() {
@@ -317,184 +309,26 @@ func (s *Server) updateQueueGaugesLocked() {
 	s.met.queueDepthBatch.Set(float64(s.waitingBatch))
 }
 
-// Start launches the worker pool. Idempotent per server (call once).
-func (s *Server) Start() {
-	for i := 0; i < s.cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-}
-
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for range s.wake {
-		s.mu.Lock()
-		if s.draining {
-			// Lane contents (specs and any journals) are durable; leave
-			// them queued on disk for the next process to resume.
-			s.mu.Unlock()
-			continue
-		}
-		jb := s.popLocked()
-		if jb == nil {
-			s.mu.Unlock()
-			continue
-		}
-		s.updateQueueGaugesLocked()
-		deadline, _ := jb.Spec.ParseDeadline() // syntax vetted at admission
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			// The deadline passed while the job sat queued. Fail it
-			// terminally — failed.json records kind "deadline exceeded",
-			// so no restart ever silently re-dispatches it — without
-			// spending a worker on a sweep nobody is waiting for.
-			s.mu.Unlock()
-			s.met.deadlineTimeouts.Inc()
-			s.finishJob(jb, runx.Newf(runx.KindTimeout, stageServer,
-				"job %s missed its deadline %s before starting", jb.ID, deadline.Format(time.RFC3339)))
-			continue
-		}
-		enqueued := s.Begin(jb)
-		ctx, cancel := context.WithCancel(s.baseCtx)
-		s.running[jb.ID] = cancel
-		s.met.inflight.Set(float64(len(s.running)))
-		s.mu.Unlock()
-
-		// Queue-wait vs run-time split: the wait ends here, the run
-		// starts here; both series carry the job's trace as exemplar.
-		tc, traced := jb.TraceCtx()
-		if !enqueued.IsZero() {
-			s.met.queueWait.ObserveExemplar(time.Since(enqueued).Seconds(), tc.TraceID)
-			if traced {
-				_ = s.cfg.Frags.Append(obs.SpanFragment{
-					Trace: tc.TraceID, Span: tc.Child().SpanID, Parent: tc.SpanID,
-					Name:  "queue-wait " + jb.ID,
-					Start: enqueued.UnixNano(), End: time.Now().UnixNano(),
-					Attrs: map[string]string{"job": jb.ID, "class": jb.Spec.Class()},
-				})
-			}
-		}
-		started := time.Now()
-		err := s.runJob(ctx, jb, deadline)
-		cancel()
-		s.met.jobRun.ObserveExemplar(time.Since(started).Seconds(), tc.TraceID)
-		s.finishJob(jb, err)
-	}
-}
-
-// runJob executes one job's sweep under its journal, writing
-// result.json atomically on success. Resumable by construction: every
-// completed cell is fsync'd to the journal before the next begins.
-func (s *Server) runJob(ctx context.Context, jb *Record, deadline time.Time) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = runx.FromPanic(r, "server.runJob")
-		}
-	}()
-	// Thread the job id through the context so any structured log line
-	// emitted under this sweep carries it, and rejoin the trace the
-	// submission minted (persisted with the spec, so resume rejoins it
-	// too) so every cell under this sweep records fragments.
-	ctx = obs.WithJobID(ctx, jb.ID)
-	if tc, ok := jb.TraceCtx(); ok {
-		ctx = obs.WithTraceContext(ctx, tc)
-		ctx = obs.WithFragments(ctx, s.cfg.Frags)
-		var endJob func()
-		ctx, endJob = obs.StartSpan(ctx, "job "+jb.ID, map[string]string{"job": jb.ID})
-		defer endJob()
-	}
-	ws, cfg, err := jb.Spec.resolve()
+// runSweep is deesimd's sweep body: the job's matrix through
+// RunMatrixContext under its journal, collapsed onto the whole-spec
+// memo when one is configured.
+func (s *Server) runSweep(ctx context.Context, job *Job) ([]byte, error) {
+	cellDelay, err := parseDuration("cell_delay", job.Spec.CellDelay)
 	if err != nil {
-		return err
-	}
-	timeout, err := parseDuration("timeout", jb.Spec.Timeout)
-	if err != nil {
-		return err
-	}
-	if timeout <= 0 {
-		timeout = s.cfg.JobTimeout
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	// The absolute SLO deadline rides the same context the relative
-	// timeout does — whichever expires first cancels the sweep — but a
-	// deadline failure is re-labeled below with the deadline timestamp,
-	// so a waiting client learns *which* instant the sweep missed.
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-		defer func() {
-			if err != nil && runx.IsKind(err, runx.KindTimeout) && !time.Now().Before(deadline) {
-				s.met.deadlineTimeouts.Inc()
-				err = runx.Newf(runx.KindTimeout, stageServer,
-					"job %s exceeded its deadline %s: %w", jb.ID, deadline.Format(time.RFC3339), err)
-			}
-		}()
-	}
-	backoff, err := parseDuration("backoff", jb.Spec.Backoff)
-	if err != nil {
-		return err
-	}
-	if backoff <= 0 {
-		backoff = s.cfg.Backoff
-	}
-	retries := jb.Spec.Retries
-	if retries <= 0 {
-		retries = s.cfg.Retries
-	}
-	cellDelay, err := parseDuration("cell_delay", jb.Spec.CellDelay)
-	if err != nil {
-		return err
-	}
-
-	meta := experiments.MatrixMeta(ws, cfg)
-	jpath := filepath.Join(s.Dir(jb.ID), "run.journal")
-	var (
-		jr    *superv.Journal
-		prior *superv.State
-	)
-	if s.Exists(jpath) {
-		jr, prior, err = superv.ResumeFS(s.cfg.FS, jpath, "deesimd", meta)
-		if err != nil {
-			if runx.IsKind(err, runx.KindUnavailable) {
-				return err // disk full, not damage: park for resume, do not quarantine
-			}
-			qp, qerr := s.QuarantineJournal(jb.ID, jpath, err)
-			if qerr != nil {
-				return qerr
-			}
-			s.cfg.Logf("deesimd: job %s: journal unusable (%v), quarantined to %s, restarting sweep from scratch", jb.ID, err, qp)
-			jr, prior = nil, nil
-		}
-	}
-	if jr == nil {
-		if jr, err = superv.CreateFS(s.cfg.FS, jpath, "deesimd", meta); err != nil {
-			return err
-		}
-	}
-	defer jr.Close()
-
-	if prior != nil && len(prior.Done) > 0 {
-		s.cfg.Logf("deesimd: job %s: resuming, %s", jb.ID, prior.Summary(jb.CellsTotal))
+		return nil, err
 	}
 	mcfg := experiments.MatrixConfig{
 		Jobs:    s.cfg.CellJobs,
-		Journal: jr,
-		Prior:   prior,
+		Journal: job.Journal,
+		Prior:   job.Prior,
 		Budget:  s.cfg.Budget,
 		Memo:    s.cfg.Memo,
-		Retry: superv.RetryPolicy{
-			Attempts: retries + 1,
-			Backoff:  backoff,
-		},
+		Retry:   job.Spec.RetryPolicy(s.cfg.Retries, s.cfg.Backoff),
 		OnRetry: func(key string, attempt int, delay string, err error) {
-			s.cfg.Logf("deesimd: job %s: retrying %s (attempt %d after %s): %v", jb.ID, key, attempt, delay, err)
+			s.cfg.Logf("deesimd: job %s: retrying %s (attempt %d after %s): %v", job.ID, key, attempt, delay, err)
 		},
 		OnCell: func(key string, replayed bool) {
-			s.CellDone(jb)
+			s.CellDone(job.Record)
 			if !replayed && cellDelay > 0 {
 				t := time.NewTimer(cellDelay)
 				select {
@@ -506,46 +340,26 @@ func (s *Server) runJob(ctx context.Context, jb *Record, deadline time.Time) (er
 		},
 	}
 	compute := func(ctx context.Context) ([]byte, error) {
-		results, err := experiments.RunMatrixContext(ctx, ws, cfg, mcfg)
+		results, err := experiments.RunMatrixContext(ctx, job.Workloads, job.Config, mcfg)
 		if err != nil {
 			return nil, err
 		}
 		data, err := json.MarshalIndent(results, "", "  ")
 		if err != nil {
-			return nil, runx.Newf(runx.KindUnknown, stageServer, "job %s: marshal results: %w", jb.ID, err)
+			return nil, runx.Newf(runx.KindUnknown, stageServer, "job %s: marshal results: %w", job.ID, err)
 		}
 		return append(data, '\n'), nil
 	}
-	var data []byte
-	if s.cfg.Memo != nil {
-		// Whole-spec singleflight: a thundering herd of identical
-		// submissions blocks on the first one's sweep and shares its
-		// bytes — each job still writes (and acks) its own result.json,
-		// so the per-job durability contract is unchanged.
-		data, err = s.cfg.Memo.Do(ctx, experiments.SweepMemoKey(ws, cfg), compute)
-	} else {
-		data, err = compute(ctx)
+	if s.cfg.Memo == nil {
+		return compute(ctx)
 	}
-	if err != nil {
-		return err
-	}
-	if err := durable.WriteFileAtomic(s.cfg.FS, s.ResultPath(jb.ID), data); err != nil {
-		if durable.IsNoSpace(err) {
-			return runx.Newf(runx.KindUnavailable, stageServer, "job %s: write result: %w", jb.ID, err)
-		}
-		return runx.Newf(runx.KindCorrupt, stageServer, "job %s: write result: %w", jb.ID, err)
-	}
-	return nil
-}
-
-// finishJob retires a job from the running set and records its
-// outcome in the store (see Store.Finish for the terminal-state rules).
-func (s *Server) finishJob(jb *Record, err error) {
-	s.mu.Lock()
-	delete(s.running, jb.ID)
-	s.met.inflight.Set(float64(len(s.running)))
-	s.mu.Unlock()
-	s.Finish(jb, err)
+	// Whole-spec singleflight: a thundering herd of identical
+	// submissions blocks on the first one's sweep and shares its bytes —
+	// each job still writes (and acks) its own result.json, so the
+	// per-job durability contract is unchanged. A warm repeat is served
+	// here without touching the cells, so its journal gets no cell
+	// records at all.
+	return s.cfg.Memo.Do(ctx, experiments.SweepMemoKey(job.Workloads, job.Config), compute)
 }
 
 // Submit admits a job under the class-aware SLO policy: an expired
@@ -579,14 +393,13 @@ func (s *Server) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 		obs.RecordFlight("shed", "low disk: new job refused", map[string]string{"class": class})
 		return nil, err
 	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
+	if s.Draining() {
 		s.met.drainSheds.Inc()
 		s.met.classShed(class)
 		obs.RecordFlight("shed", "draining: new job refused", map[string]string{"class": class})
 		return nil, runx.Newf(runx.KindUnavailable, stageServer, "draining: not accepting new jobs")
 	}
+	s.mu.Lock()
 	level := s.brownoutLocked()
 	s.noteBrownoutLocked(ctx, level)
 	if class == PriorityBatch {
@@ -623,26 +436,26 @@ func (s *Server) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 
 	jb, err := s.Create(ctx, sp)
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if err != nil {
 		s.reserveLocked(class, -1)
+		s.mu.Unlock()
 		return nil, err
 	}
-	if !s.wakeClosed {
-		// The waiting slot was reserved at admission; only the lane
-		// append happens here. Wake capacity was reserved too, so the
-		// token send never blocks.
-		if class == PriorityBatch {
-			s.pendBatch = append(s.pendBatch, jb)
-		} else {
-			s.pendInt = append(s.pendInt, jb)
-		}
-		s.wake <- struct{}{}
+	// The waiting slot was reserved at admission; only the lane append
+	// happens here. If drain began meanwhile no runner takes the job: it
+	// stays on disk and the next process resumes it — accepted is
+	// accepted. The snapshot is taken before a runner can start the job,
+	// so the caller always sees it queued.
+	js := s.Snapshot(jb)
+	if class == PriorityBatch {
+		s.pendBatch = append(s.pendBatch, jb)
+	} else {
+		s.pendInt = append(s.pendInt, jb)
 	}
-	// If admission closed between reserve and here, the job stays on
-	// disk and the next process resumes it — accepted is accepted.
+	s.mu.Unlock()
+	s.Wake()
 	s.met.accepted.Inc()
-	return s.Snapshot(jb), nil
+	return js, nil
 }
 
 // reserveLocked moves a class's waiting count by delta (±1) and
@@ -656,116 +469,27 @@ func (s *Server) reserveLocked(class string, delta int) {
 	s.updateQueueGaugesLocked()
 }
 
-// Draining reports whether drain has begun (readyz turns 503).
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Drain gracefully stops the server: admission closes (new submissions
-// are shed with 503), running jobs get DrainGrace to finish, then
-// their contexts are canceled — which journals their progress for the
-// next start. Queued-but-unstarted jobs are left durably on disk.
-// Returns once every worker has exited. Idempotent.
-func (s *Server) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	if !s.draining {
-		s.draining = true
-		if !s.wakeClosed {
-			close(s.wake)
-			s.wakeClosed = true
-		}
-	}
-	s.mu.Unlock()
-	s.cfg.Logf("deesimd: draining: admission closed, waiting up to %s for running jobs", s.cfg.DrainGrace)
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	grace := time.NewTimer(s.cfg.DrainGrace)
-	defer grace.Stop()
-	select {
-	case <-done:
-	case <-grace.C:
-		s.cfg.Logf("deesimd: drain grace expired, canceling running jobs (progress stays journaled)")
-		s.cancelRunning()
-		<-done
-	case <-ctx.Done():
-		s.cfg.Logf("deesimd: drain aborted by caller, canceling running jobs")
-		s.cancelRunning()
-		<-done
-	}
-	s.baseCancel()
-	s.logDrainSummary()
-	return nil
-}
-
-func (s *Server) cancelRunning() {
-	s.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(s.running))
-	for _, c := range s.running {
-		cancels = append(cancels, c)
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
-func (s *Server) logDrainSummary() {
-	counts := map[string]int{}
-	for _, js := range s.List() {
-		counts[js.State]++
-	}
-	s.cfg.Logf("deesimd: drained: %d done, %d failed, %d interrupted, %d queued (interrupted/queued resume on restart)",
-		counts[StateDone], counts[StateFailed], counts[StateInterrupted], counts[StateQueued])
-}
-
-// Close hard-stops the server: cancels everything and waits for the
-// workers. For tests; production shutdown is Drain.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.draining = true
-	if !s.wakeClosed {
-		close(s.wake)
-		s.wakeClosed = true
-	}
-	s.mu.Unlock()
-	s.baseCancel()
-	s.wg.Wait()
-}
-
 // requeueForHeal sends a job whose terminal artifact was quarantined
-// back through the run path. If the queue is closed or full the job
-// parks as interrupted instead and the next process heals it — either
-// way no state is lost. Reports whether an in-process re-run was
-// scheduled.
+// back through the run path. Once drain has begun the job parks as
+// interrupted instead and the next process heals it — either way no
+// state is lost. Reports whether an in-process re-run was scheduled.
 func (s *Server) requeueForHeal(id string) bool {
 	jb, ok := s.Get(id)
 	if !ok {
 		return false
 	}
+	if s.Draining() {
+		s.update(jb, func(r *Record) { r.State = StateInterrupted })
+		return false
+	}
+	s.update(jb, func(r *Record) {
+		r.State, r.Resumed, r.CellsDone = StateQueued, true, 0
+		r.ErrText, r.ErrKind = "", ""
+	})
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	park := func(r *Record) { r.State = StateInterrupted }
-	if s.wakeClosed || s.draining {
-		s.update(jb, park)
-		return false
-	}
-	select {
-	case s.wake <- struct{}{}:
-		s.update(jb, func(r *Record) {
-			r.State, r.Resumed, r.CellsDone = StateQueued, true, 0
-			r.ErrText, r.ErrKind = "", ""
-		})
-		s.pushLocked(jb)
-		s.updateQueueGaugesLocked()
-		return true
-	default:
-		s.update(jb, park)
-		return false
-	}
+	s.pushLocked(jb)
+	s.updateQueueGaugesLocked()
+	s.mu.Unlock()
+	s.Wake()
+	return true
 }

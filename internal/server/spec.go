@@ -9,6 +9,7 @@ import (
 	"deesim/internal/experiments"
 	"deesim/internal/ilpsim"
 	"deesim/internal/runx"
+	"deesim/internal/superv"
 )
 
 // Spec is a sweep submission: the JSON body of POST /v1/jobs. It names
@@ -178,6 +179,19 @@ func (sp Spec) CellsTotal() int {
 		return 0
 	}
 	return experiments.MatrixTaskCount(ws, cfg)
+}
+
+// RetryPolicy is the spec's per-cell retry policy: its retries and
+// backoff where set, the daemon's defaults where not. Duration syntax
+// was vetted at admission.
+func (sp Spec) RetryPolicy(retries int, backoff time.Duration) superv.RetryPolicy {
+	if sp.Retries > 0 {
+		retries = sp.Retries
+	}
+	if d, err := parseDuration("backoff", sp.Backoff); err == nil && d > 0 {
+		backoff = d
+	}
+	return superv.RetryPolicy{Attempts: retries + 1, Backoff: backoff}
 }
 
 func parseDuration(name, val string) (time.Duration, error) {

@@ -299,22 +299,6 @@ func (st *Store) Create(ctx context.Context, sp Spec) (*Record, error) {
 	return rec, nil
 }
 
-// QuarantineJournal moves a journal that cannot be resumed (corrupt
-// record, torn header, recorded under different settings) aside. It
-// carries no trustworthy progress, and the sweep is deterministic, so
-// the caller restarts the run from scratch — but the evidence is
-// kept, never deleted. It returns where the journal went.
-func (st *Store) QuarantineJournal(id, path string, cause error) (string, error) {
-	qp, err := durable.Quarantine(st.cfg.FS, path)
-	if err != nil {
-		return "", runx.Newf(runx.KindCorrupt, st.cfg.Stage, "%s %s: journal unusable (%v) and quarantine failed: %v", st.cfg.Noun, id, cause, err)
-	}
-	st.cfg.Counters.Quarantined.Inc()
-	st.cfg.Counters.Healed.Inc()
-	durable.NoteHealed()
-	return qp, nil
-}
-
 // Begin marks a record running with no cells done and returns when it
 // was enqueued, for the queue-wait span.
 func (st *Store) Begin(rec *Record) (enqueued time.Time) {

@@ -8,12 +8,11 @@
 // object per line, fsync'd before the supervisor proceeds, so a crash —
 // OOM, SIGKILL, power loss — loses at most the record being written.
 // The framing, integrity sums, torn-tail recovery and resume compaction
-// are durable's shared journal; this package owns only the start/done/
-// fail record kinds and how they fold into a State.
+// are durable's shared journal, and so is the replay into a State;
+// this package names the start/done/fail record kinds it writes.
 package superv
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"deesim/internal/durable"
@@ -23,14 +22,14 @@ import (
 // records appended in execution order.
 const (
 	// KindStart marks a task attempt beginning.
-	KindStart = "start"
+	KindStart = durable.KindStart
 	// KindDone marks a task attempt finishing successfully; the record
 	// carries the task's JSON result payload.
 	KindDone = durable.KindDone
 	// KindFail marks a task attempt failing; the record carries the
 	// error text, its runx kind, and whether the supervisor deemed it
 	// retryable.
-	KindFail = "fail"
+	KindFail = durable.KindFail
 )
 
 // Record is one journal line; Kind selects which fields are meaningful.
@@ -40,37 +39,32 @@ type Record = durable.Record
 // concurrent use.
 type Journal = durable.Journal
 
-var journalFormat = &durable.JournalFormat{
+// State is the digest of a journal replay: which tasks completed (with
+// their first recorded result payloads, in Done), which were started
+// or failed without completing (Attempts), and how many torn-tail bytes
+// recovery dropped.
+type State = durable.State
+
+// JournalFormat is the run journal's flavour of the shared framing.
+var JournalFormat = &durable.JournalFormat{
 	Stage: "superv.Journal",
 	OnAppend: func() {
 		mJournalRecords.Inc()
 		mJournalFsyncs.Inc()
 	},
+	Summary: Summary,
 }
 
-// State is the digest of a journal replay: which tasks completed (with
-// their result payloads, in Done), which were started or failed without
-// completing, and how many torn-tail bytes recovery dropped.
-type State struct {
-	durable.Replay
-	// Pending maps task keys that were started or failed but never
-	// completed to the number of attempts the journal records for them.
-	Pending map[string]int
-}
-
-func newState() *State {
-	return &State{Replay: durable.Replay{Done: make(map[string]json.RawMessage)}, Pending: make(map[string]int)}
+// Summary renders a one-line progress digest of a replayed state.
+func Summary(st *State, total int) string {
+	return fmt.Sprintf("%d/%d tasks journaled complete, %d pending, %d torn byte(s) recovered",
+		len(st.Done), total, len(st.Attempts), st.Truncated)
 }
 
 // Create starts a fresh journal at path (truncating any existing file),
 // writing and fsync'ing the versioned header before returning.
 func Create(path, tool string, meta map[string]string) (*Journal, error) {
-	return CreateFS(nil, path, tool, meta)
-}
-
-// CreateFS is Create on an injectable filesystem (nil = the real one).
-func CreateFS(fsys durable.FS, path, tool string, meta map[string]string) (*Journal, error) {
-	return journalFormat.Create(fsys, path, tool, meta)
+	return JournalFormat.Create(nil, path, tool, meta)
 }
 
 // Load replays the journal at path into a State (see Decode).
@@ -80,54 +74,14 @@ func Load(path string) (*State, error) {
 
 // LoadFS is Load on an injectable filesystem (nil = the real one).
 func LoadFS(fsys durable.FS, path string) (*State, error) {
-	st := newState()
-	if err := journalFormat.Load(fsys, path, &st.Replay, st.apply); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return JournalFormat.Load(fsys, path)
 }
 
 // Decode replays in-memory journal bytes. A torn or damaged final
 // record is dropped and counted in State.Truncated; any other damage
 // is a typed *runx.Error of kind KindCorrupt (durable.JournalFormat.Decode).
 func Decode(data []byte) (*State, error) {
-	st := newState()
-	if err := journalFormat.Decode(data, &st.Replay, st.apply); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// apply folds one post-header record into the state.
-func (st *State) apply(rec Record) error {
-	if rec.Key == "" {
-		return fmt.Errorf("%s record without a task key", rec.Kind)
-	}
-	switch rec.Kind {
-	case KindStart:
-		if _, done := st.Done[rec.Key]; !done {
-			if rec.Attempt > st.Pending[rec.Key] {
-				st.Pending[rec.Key] = rec.Attempt
-			} else if rec.Attempt <= 0 {
-				st.Pending[rec.Key]++
-			}
-		}
-	case KindDone:
-		if len(rec.Result) == 0 {
-			return fmt.Errorf("done record for %s without a result payload", rec.Key)
-		}
-		st.Done[rec.Key] = rec.Result
-		delete(st.Pending, rec.Key)
-	case KindFail:
-		if _, done := st.Done[rec.Key]; !done {
-			if rec.Attempt > st.Pending[rec.Key] {
-				st.Pending[rec.Key] = rec.Attempt
-			}
-		}
-	default:
-		return fmt.Errorf("unknown record kind %q", rec.Kind)
-	}
-	return nil
+	return JournalFormat.Decode(data)
 }
 
 // Resume reopens the journal at path for a continued run: it replays
@@ -137,18 +91,5 @@ func (st *State) apply(rec Record) error {
 // append (durable.JournalFormat.Resume). Returns the reopened journal
 // and the replayed state.
 func Resume(path, tool string, meta map[string]string) (*Journal, *State, error) {
-	return ResumeFS(nil, path, tool, meta)
-}
-
-// ResumeFS is Resume on an injectable filesystem (nil = the real one).
-func ResumeFS(fsys durable.FS, path, tool string, meta map[string]string) (*Journal, *State, error) {
-	st, err := LoadFS(fsys, path)
-	if err != nil {
-		return nil, nil, err
-	}
-	j, err := journalFormat.Resume(fsys, path, tool, meta, &st.Replay)
-	if err != nil {
-		return nil, nil, err
-	}
-	return j, st, nil
+	return JournalFormat.Resume(nil, path, tool, meta)
 }

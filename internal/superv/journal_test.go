@@ -52,8 +52,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(st.Done) != 2 || string(st.Done["a"]) != `{"v":1}` || string(st.Done["b"]) != `{"v":2}` {
 		t.Errorf("done = %v", st.Done)
 	}
-	if len(st.Pending) != 2 || st.Pending["c"] != 1 || st.Pending["d"] != 1 {
-		t.Errorf("pending = %v", st.Pending)
+	if len(st.Attempts) != 2 || st.Attempts["c"] != 1 || st.Attempts["d"] != 1 {
+		t.Errorf("pending = %v", st.Attempts)
 	}
 	if st.Truncated != 0 {
 		t.Errorf("clean journal reported %d torn bytes", st.Truncated)

@@ -3,8 +3,6 @@ package superv
 import (
 	"context"
 	"encoding/json"
-	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -310,21 +308,4 @@ func runAttempt(ctx context.Context, t Task) (payload json.RawMessage, err error
 		return nil, runx.Newf(runx.KindInvalidInput, stageRun, "task %s returned a nil result", t.Key)
 	}
 	return payload, nil
-}
-
-// Keys returns the sorted journal-completed keys of a state — handy for
-// progress reporting ("resume will skip these").
-func (st *State) Keys() []string {
-	out := make([]string, 0, len(st.Done))
-	for k := range st.Done {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Summary renders a one-line progress digest of a replayed state.
-func (st *State) Summary(total int) string {
-	return fmt.Sprintf("%d/%d tasks journaled complete, %d pending, %d torn byte(s) recovered",
-		len(st.Done), total, len(st.Pending), st.Truncated)
 }
