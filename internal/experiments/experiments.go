@@ -5,16 +5,13 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"deesim/internal/bench"
 	"deesim/internal/ilpsim"
 	"deesim/internal/isa"
-	"deesim/internal/predictor"
 	"deesim/internal/runx"
 	"deesim/internal/stats"
-	"deesim/internal/trace"
 )
 
 // PaperResources is the Figure 5 horizontal axis.
@@ -133,32 +130,6 @@ type WorkloadResult struct {
 	Accuracy float64 // mean accuracy over inputs
 	Oracle   float64 // harmonic mean of input oracles
 	Speedup  map[string]map[int]float64
-}
-
-// recordInput builds an input's program and records its dynamic trace.
-func recordInput(ctx context.Context, name string, prog buildable, cfg Config) (*trace.Trace, error) {
-	p, err := prog(cfg.Scale)
-	if err != nil {
-		return nil, fmt.Errorf("build %s: %w", name, err)
-	}
-	tr, err := trace.RecordContext(ctx, p, cfg.MaxInstrs)
-	if err != nil {
-		return nil, runx.Annotate(err, name)
-	}
-	return tr, nil
-}
-
-// newInputSim constructs the prepared simulator for a recorded trace.
-func newInputSim(ctx context.Context, name string, tr *trace.Trace, cfg Config) (*ilpsim.Sim, error) {
-	pred, err := predictor.New(cfg.Predictor)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := ilpsim.NewContext(ctx, tr, pred, cfg.Opts)
-	if err != nil {
-		return nil, runx.Annotate(err, name)
-	}
-	return sim, nil
 }
 
 type buildable = func(scale int) (*isa.Program, error)

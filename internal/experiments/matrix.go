@@ -11,12 +11,9 @@ import (
 
 	"deesim/internal/bench"
 	"deesim/internal/budget"
-	"deesim/internal/ilpsim"
 	"deesim/internal/memo"
-	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
-	"deesim/internal/trace"
 )
 
 // MatrixTask addresses one cell of the experiment matrix: a (workload
@@ -59,8 +56,8 @@ type CellResult struct {
 // sweep.
 type MatrixConfig struct {
 	// Jobs bounds the worker pool (minimum 1). Cells of the same input
-	// serialize on that input's shared simulator; distinct inputs run
-	// concurrently.
+	// wait for its one build, then run on its shared simulator in
+	// parallel; distinct inputs run concurrently.
 	Jobs int
 	// Retry is the per-cell retry policy (see superv.RetryPolicy).
 	Retry superv.RetryPolicy
@@ -93,9 +90,6 @@ type MatrixConfig struct {
 	// testCellHook, when set by tests, observes each freshly-executed
 	// cell key — the seam kill-and-resume tests use to cancel mid-sweep.
 	testCellHook func(key string)
-	// testReleased, when set by tests, observes an input's shared
-	// simulator right after its last cell merged and it was released.
-	testReleased func(input string, e *inputSim)
 }
 
 // MatrixMeta digests the sweep-identity settings into the journal
@@ -126,132 +120,6 @@ func MatrixMeta(ws []bench.Workload, cfg Config) map[string]string {
 	}
 }
 
-// inputSim lazily builds the per-input trace + prepared simulator
-// shared by that input's matrix cells. Only the build is serialized on
-// mu; the runs themselves proceed unlocked and in parallel, because
-// ilpsim.Sim is read-only after construction and documented safe for
-// concurrent RunContext calls — a pool of workers can fan all of one
-// input's (model × ET) cells over a single prepared Sim at once.
-// Building inside the first cell's attempt keeps build failures
-// attributed — and retried — as that cell's.
-type inputSim struct {
-	mu    sync.Mutex
-	build buildable
-	name  string // "workload/input", the benchmark attribution
-	tr    *trace.Trace
-	sim   *ilpsim.Sim
-}
-
-// get returns the shared trace and simulator, building them under the
-// lock on first use.
-func (e *inputSim) get(ctx context.Context, cfg Config) (*trace.Trace, *ilpsim.Sim, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tr == nil || e.sim == nil {
-		// The build runs inside the first cell attempt that needs it, so
-		// its span nests under that cell's span.
-		_, endSpan := obs.StartSpan(ctx, "build "+e.name, nil)
-		defer endSpan()
-	}
-	if e.tr == nil {
-		tr, err := recordInput(ctx, e.name, e.build, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.tr = tr
-	}
-	if e.sim == nil {
-		sim, err := newInputSim(ctx, e.name, e.tr, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.sim = sim
-	}
-	return e.tr, e.sim, nil
-}
-
-// drop discards the shared simulator if it is still the given one, so
-// the next cell (or the retry) rebuilds from scratch. Concurrent cells
-// already running on the old simulator finish on it safely; only new
-// acquisitions see the rebuild.
-func (e *inputSim) drop(sim *ilpsim.Sim) {
-	e.mu.Lock()
-	if e.sim == sim {
-		e.sim = nil
-	}
-	e.mu.Unlock()
-}
-
-// release discards the trace and simulator once the input's last cell
-// has merged, so a sweep holds only the inputs still in flight rather
-// than every input it has touched.
-func (e *inputSim) release() {
-	e.mu.Lock()
-	e.tr, e.sim = nil, nil
-	e.mu.Unlock()
-}
-
-// run executes one cell on the shared simulator.
-func (e *inputSim) run(ctx context.Context, t MatrixTask, cfg Config) (*CellResult, error) {
-	mCellsStarted.Inc()
-	ctx, endSpan := obs.StartSpan(ctx, "cell "+t.Key(), map[string]string{
-		"workload": t.Workload, "input": t.Input, "model": t.Model, "et": strconv.Itoa(t.ET),
-	})
-	start := time.Now()
-	defer func() {
-		endSpan()
-		traceID := ""
-		if tc, ok := obs.TraceContextFrom(ctx); ok {
-			traceID = tc.TraceID
-		}
-		mCellDuration.ObserveExemplar(time.Since(start).Seconds(), traceID)
-	}()
-	tr, sim, err := e.get(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	model, err := modelByName(t.Model, cfg)
-	if err != nil {
-		return nil, runx.Annotate(err, e.name)
-	}
-	var r ilpsim.Result
-	if t.ET == 0 {
-		r, err = sim.RunUnlimitedContext(ctx, model)
-	} else {
-		r, err = sim.RunContext(ctx, model, t.ET)
-	}
-	if err != nil {
-		// A fault-injected memory system can bake bad latencies into the
-		// prepared simulator; drop it so the retry (or the input's next
-		// cell) starts from a freshly prepared one.
-		if runx.Retryable(err) {
-			e.drop(sim)
-		}
-		return nil, runx.Annotate(err, e.name)
-	}
-	return &CellResult{
-		Workload: t.Workload,
-		Input:    t.Input,
-		Model:    t.Model,
-		ET:       t.ET,
-		Insts:    tr.Len(),
-		Accuracy: sim.Accuracy(),
-		Oracle:   sim.Oracle().Speedup,
-		Speedup:  r.Speedup,
-		RootRate: r.RootResolutionRate(),
-	}, nil
-}
-
-// modelByName resolves a model name against the run's configured set.
-func modelByName(name string, cfg Config) (ilpsim.Model, error) {
-	for _, m := range cfg.Models {
-		if m.String() == name {
-			return m, nil
-		}
-	}
-	return ilpsim.Model{}, runx.Newf(runx.KindInvalidInput, "experiments.RunMatrix", "model %q not in this run's configuration", name)
-}
-
 // RunMatrixContext is the sweep engine: it decomposes the sweep into
 // addressable (input × model × ET) tasks, runs them on a bounded worker
 // pool under per-task retry, and — when a journal is configured —
@@ -259,14 +127,20 @@ func modelByName(name string, cfg Config) (ilpsim.Model, error) {
 // where it stopped. Results merged from a resumed journal flow through
 // the same aggregation as fresh ones (aggregateWorkload,
 // crossWorkloadMean), so the final tables are byte-identical to an
-// uninterrupted run's. Each input's trace and prepared simulator are
-// released as soon as its last cell merges.
+// uninterrupted run's. Cells draw their inputs from one Inputs table
+// per sweep, so an input is built once and dropped as soon as the
+// next input is acquired.
 //
 // On failure or cancellation the first error cancels the remaining
 // cells, and the workload results that did complete are returned
 // alongside it (in configured order) so callers can report partial
 // progress.
 func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg MatrixConfig) ([]*WorkloadResult, error) {
+	return runMatrix(ctx, new(Inputs), ws, cfg, mcfg)
+}
+
+// runMatrix is RunMatrixContext over a given table.
+func runMatrix(ctx context.Context, tab *Inputs, ws []bench.Workload, cfg Config, mcfg MatrixConfig) ([]*WorkloadResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -275,7 +149,6 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		return nil, err
 	}
 
-	sims := make(map[string]*inputSim)
 	type inputAgg struct {
 		res       *InputResult
 		remaining int
@@ -288,7 +161,6 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 	for _, w := range ws {
 		for _, in := range w.Inputs {
 			ikey := w.Name + "/" + in.Name
-			sims[ikey] = &inputSim{build: in.Build, name: ikey}
 			inputAggs[ikey] = &inputAgg{
 				res: &InputResult{
 					Input:    ikey,
@@ -302,20 +174,10 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 			for _, m := range cfg.Models {
 				for _, et := range cfg.Resources {
 					mt := MatrixTask{Workload: w.Name, Input: in.Name, Model: m.String(), ET: et}
-					ent := sims[ikey]
 					tasks = append(tasks, superv.Task{
 						Key: mt.Key(),
 						Run: func(ctx context.Context) (any, error) {
-							if mcfg.Memo != nil {
-								return memoizedCell(ctx, mcfg.Memo, mt, cfg, func(ctx context.Context) (*CellResult, error) {
-									return ent.run(ctx, mt, cfg)
-								})
-							}
-							cell, err := ent.run(ctx, mt, cfg)
-							if err != nil {
-								return nil, err
-							}
-							return cell, nil
+							return tab.cell(ctx, mcfg.Memo, in.Build, m, mt, cfg)
 						},
 					})
 				}
@@ -360,12 +222,6 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		r.Speedup[cell.Model][cell.ET] = cell.Speedup
 		r.RootRate[cell.Model][cell.ET] = cell.RootRate
 		agg.remaining--
-		if agg.remaining == 0 {
-			sims[ikey].release()
-			if mcfg.testReleased != nil {
-				mcfg.testReleased(ikey, sims[ikey])
-			}
-		}
 		workRemaining[cell.Workload]--
 		if workRemaining[cell.Workload] == 0 {
 			inputs := make([]*InputResult, len(inputOrder[cell.Workload]))
@@ -452,72 +308,4 @@ func MatrixTasks(ws []bench.Workload, cfg Config) []MatrixTask {
 		}
 	}
 	return tasks
-}
-
-// RunCell executes exactly one matrix cell: it builds the cell's input
-// (trace + prepared simulator) and runs the (model, ET) simulation,
-// returning the same CellResult payload a journaled sweep records.
-// This is the worker half of a distributed sweep — a deesimd node
-// serves leased cells through it. Unknown workloads, inputs, or models
-// are typed KindInvalidInput so a coordinator never re-dispatches a
-// structurally impossible cell.
-func RunCell(ctx context.Context, ws []bench.Workload, cfg Config, t MatrixTask) (*CellResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateWorkloads(ws); err != nil {
-		return nil, err
-	}
-	const stage = "experiments.RunCell"
-	for _, w := range ws {
-		if w.Name != t.Workload {
-			continue
-		}
-		for _, in := range w.Inputs {
-			if in.Name != t.Input {
-				continue
-			}
-			ent := &inputSim{build: in.Build, name: w.Name + "/" + in.Name}
-			return ent.run(ctx, t, cfg)
-		}
-		return nil, runx.Newf(runx.KindInvalidInput, stage, "workload %q has no input %q", t.Workload, t.Input)
-	}
-	return nil, runx.Newf(runx.KindInvalidInput, stage, "unknown workload %q", t.Workload)
-}
-
-// RunCellMemo is RunCell behind the content-addressed cache: a hit
-// (or a collapse onto an identical in-flight cell) skips the trace
-// build and simulation entirely; a miss computes through RunCell and
-// stores the result. A nil memo is exactly RunCell.
-func RunCellMemo(ctx context.Context, m *memo.Memo, ws []bench.Workload, cfg Config, t MatrixTask) (*CellResult, error) {
-	if m == nil {
-		return RunCell(ctx, ws, cfg, t)
-	}
-	return memoizedCell(ctx, m, t, cfg, func(ctx context.Context) (*CellResult, error) {
-		return RunCell(ctx, ws, cfg, t)
-	})
-}
-
-// memoizedCell runs one cell through the memo's singleflight: compute
-// on miss, share the in-flight result with identical concurrent
-// cells, and decode whatever bytes the cache settles on. The decoded
-// struct re-marshals to the same JSON a fresh run would journal, so
-// memoized and fresh sweeps stay byte-identical.
-func memoizedCell(ctx context.Context, m *memo.Memo, t MatrixTask, cfg Config, run func(ctx context.Context) (*CellResult, error)) (*CellResult, error) {
-	data, err := m.Do(ctx, CellMemoKey(cfg, t), func(ctx context.Context) ([]byte, error) {
-		cell, err := run(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(cell)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var cell CellResult
-	if err := json.Unmarshal(data, &cell); err != nil {
-		return nil, runx.Newf(runx.KindCorrupt, "experiments.RunCell", "memo payload for %s: %w", t.Key(), err)
-	}
-	return &cell, nil
 }

@@ -178,37 +178,48 @@ func TestMatrixMatchesSerialReference(t *testing.T) {
 	}
 }
 
-// TestMatrixReleasesInputAfterLastCell: an input's trace and prepared
-// simulator are dropped as soon as its last cell merges, not held until
-// the sweep ends — holding them pins every input's trace at once and
-// makes a full sweep's peak memory the sum over inputs. With one worker
-// cells run in task order, so each input must be released right after
-// its own last cell and before the next input's first.
+// TestMatrixReleasesInputAfterLastCell: a sweep's table drops an
+// input as soon as the next input is acquired, not when the sweep ends
+// — holding every input pins every trace at once and makes a full
+// sweep's peak memory the sum over inputs. With one worker cells run in
+// task order, so after every cell the table holds exactly that cell's
+// input, and each input is built exactly once.
 func TestMatrixReleasesInputAfterLastCell(t *testing.T) {
 	cfg := matrixTestConfig()
 	ws := matrixTestWorkloads(t)
-	var events []string // hooks are serialized by the supervisor
+	var tab Inputs
+	var held []string // hooks are serialized by the supervisor
 	mcfg := MatrixConfig{Jobs: 1}
-	mcfg.testCellHook = func(key string) { events = append(events, "cell "+key) }
-	mcfg.testReleased = func(input string, e *inputSim) {
-		if e.tr != nil || e.sim != nil {
-			t.Errorf("%s: trace or simulator still held after release", input)
+	mcfg.testCellHook = func(key string) {
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		var names []string
+		for k, e := range tab.entries {
+			names = append(names, k.workload+"/"+k.input)
+			if e.refs != 0 {
+				t.Errorf("%s: %s still held by %d cells after its cell merged", key, e.name, e.refs)
+			}
 		}
-		events = append(events, "release "+input)
+		held = append(held, key+" holds "+strings.Join(names, ","))
 	}
-	if _, err := RunMatrixContext(context.Background(), ws, cfg, mcfg); err != nil {
+	b0 := mInputBuilds.Value()
+	if _, err := runMatrix(context.Background(), &tab, ws, cfg, mcfg); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
+	inputs := 0
 	tasks := MatrixTasks(ws, cfg)
 	for i, mt := range tasks {
-		want = append(want, "cell "+mt.Key())
-		if i+1 == len(tasks) || tasks[i+1].Workload != mt.Workload || tasks[i+1].Input != mt.Input {
-			want = append(want, "release "+mt.Workload+"/"+mt.Input)
+		want = append(want, mt.Key()+" holds "+mt.Workload+"/"+mt.Input)
+		if i == 0 || tasks[i-1].Input != mt.Input {
+			inputs++
 		}
 	}
-	if got := strings.Join(events, "\n"); got != strings.Join(want, "\n") {
-		t.Errorf("release order:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	if got := strings.Join(held, "\n"); got != strings.Join(want, "\n") {
+		t.Errorf("inputs held after each cell:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+	if d := mInputBuilds.Value() - b0; d != int64(inputs) {
+		t.Errorf("sweep built inputs %d times, want once per input (%d)", d, inputs)
 	}
 }
 

@@ -72,12 +72,13 @@ func TestRunCellMemoSharesEntriesWithMatrix(t *testing.T) {
 	task := MatrixTasks(ws, cfg)[0]
 	started := obs.GetOrCreateCounter("deesim_cells_started_total")
 
-	first, err := RunCellMemo(context.Background(), m, ws, cfg, task)
+	var tab Inputs
+	first, err := tab.RunCell(context.Background(), m, ws, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s0 := started.Value()
-	second, err := RunCellMemo(context.Background(), m, ws, cfg, task)
+	second, err := tab.RunCell(context.Background(), m, ws, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestRunCellMemoNilMemoIsRunCell(t *testing.T) {
 	cfg := matrixTestConfig()
 	ws := matrixTestWorkloads(t)
 	task := MatrixTasks(ws, cfg)[0]
-	viaNil, err := RunCellMemo(context.Background(), nil, ws, cfg, task)
+	viaNil, err := new(Inputs).RunCell(context.Background(), nil, ws, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +117,6 @@ func TestRunCellMemoNilMemoIsRunCell(t *testing.T) {
 	a, _ := json.Marshal(viaNil)
 	b, _ := json.Marshal(direct)
 	if string(a) != string(b) {
-		t.Fatalf("nil-memo RunCellMemo differs from RunCell:\n  %s\n  %s", a, b)
+		t.Fatalf("nil-memo Inputs.RunCell differs from RunCell:\n  %s\n  %s", a, b)
 	}
 }

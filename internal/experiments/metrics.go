@@ -15,3 +15,9 @@ var mCellsStarted = obs.GetOrCreateCounter("deesim_cells_started_total")
 // leaves that trace's id as the bucket exemplar, so a latency outlier
 // in a dashboard links straight to a fetchable timeline.
 var mCellDuration = obs.GetOrCreateHistogram("deesim_cell_duration_seconds", obs.DefaultLatencyBuckets)
+
+// mInputBuilds counts prepared-input builds (trace record plus
+// simulator preparation). Cells that reuse an input already held by
+// their Inputs table do not increment it, so on a worker it reads how
+// many times leased cells had to build rather than reuse.
+var mInputBuilds = obs.GetOrCreateCounter("deesim_input_builds_total")

@@ -31,21 +31,6 @@ type CellRequest struct {
 	Traceparent string `json:"traceparent,omitempty"`
 }
 
-// Validate resolves the spec and checks the task addresses a cell
-// inside the spec's matrix.
-func (cr CellRequest) Validate() error {
-	ws, cfg, err := cr.Spec.resolve()
-	if err != nil {
-		return err
-	}
-	for _, t := range experiments.MatrixTasks(ws, cfg) {
-		if t == cr.Task {
-			return nil
-		}
-	}
-	return runx.Newf(runx.KindInvalidInput, stageServer, "task %s outside the spec's matrix", cr.Task.Key())
-}
-
 // handleCell serves one leased cell synchronously: admission is a
 // non-blocking slot acquire (a worker at capacity sheds with 429 so the
 // coordinator leases elsewhere), execution is the same single-cell code
@@ -94,11 +79,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	s.met.cellsInflight.Set(float64(atomic.AddInt64(&s.cellsActive, 1)))
 	defer func() { s.met.cellsInflight.Set(float64(atomic.AddInt64(&s.cellsActive, -1))) }()
 
-	if err := cr.Validate(); err != nil {
-		s.WriteError(w, err)
-		return
-	}
-	ws, cfg, err := cr.Spec.resolve()
+	ws, cfg, err := cr.Spec.Resolve()
 	if err != nil {
 		s.WriteError(w, err)
 		return
@@ -161,17 +142,20 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 
 // runCell executes the cell under panic isolation, so a poisoned cell
 // is a typed 500 to the coordinator — which retries or fails the sweep
-// by kind — never a dead worker. With a memo configured, the cell
-// consults the content-addressed cache first and identical concurrent
-// cell RPCs collapse onto one in-flight simulation (each still holds
-// its own admission slot — collapse saves compute, not capacity).
+// by kind — never a dead worker. Every leased cell runs through the
+// server's one Inputs table, so consecutive cells of one input reuse
+// its trace and prepared simulator, and a task outside the spec's
+// matrix is a typed 400. With a memo configured, the cell consults the
+// content-addressed cache first and identical concurrent cell RPCs
+// collapse onto one in-flight simulation (each still holds its own
+// admission slot — collapse saves compute, not capacity).
 func (s *Server) runCell(ctx context.Context, ws []bench.Workload, cfg experiments.Config, t experiments.MatrixTask) (res *experiments.CellResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = runx.FromPanic(r, "server.runCell")
 		}
 	}()
-	return experiments.RunCellMemo(ctx, s.cfg.Memo, ws, cfg, t)
+	return s.inputs.RunCell(ctx, s.cfg.Memo, ws, cfg, t)
 }
 
 // CellsActive reports how many leased cells are executing right now —

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"deesim/internal/experiments"
+	"deesim/internal/obs"
 )
 
 // cellRequestFor builds a valid CellRequest for the spec's first cell.
@@ -48,6 +49,29 @@ func TestCellEndpoint(t *testing.T) {
 	wantJSON, _ := json.Marshal(want)
 	if string(gotJSON) != string(wantJSON) {
 		t.Errorf("served cell differs from in-process run:\n%s\n%s", gotJSON, wantJSON)
+	}
+}
+
+// TestCellReusesInputAcrossLeases: the worker keeps one prepared-input
+// table for its lifetime, so every cell of one input after the first
+// reuses its trace and simulator instead of rebuilding them.
+func TestCellReusesInputAcrossLeases(t *testing.T) {
+	_, hs := newTestServer(t, Config{CellSlots: 1})
+	sp := smokeSpec()
+	ws, cfg, err := sp.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := obs.GetOrCreateCounter("deesim_input_builds_total")
+	b0 := builds.Value()
+	for _, task := range experiments.MatrixTasks(ws, cfg) {
+		resp, body := postJSON(t, hs.URL+"/v1/cells", CellRequest{Spec: sp, Task: task})
+		if resp.StatusCode != 200 {
+			t.Fatalf("cell %s: HTTP %d: %s", task.Key(), resp.StatusCode, body)
+		}
+	}
+	if d := builds.Value() - b0; d != 1 {
+		t.Errorf("%d leased cells of one input built it %d times, want 1", experiments.MatrixTaskCount(ws, cfg), d)
 	}
 }
 

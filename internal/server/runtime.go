@@ -220,7 +220,7 @@ func (rt *Runtime) run(jb *Record, deadline time.Time) (err error) {
 		ctx, end = obs.StartSpan(ctx, noun+" "+jb.ID, map[string]string{noun: jb.ID})
 		defer end()
 	}
-	ws, cfg, err := jb.Spec.resolve()
+	ws, cfg, err := jb.Spec.Resolve()
 	if err != nil {
 		return err
 	}

@@ -209,8 +209,9 @@ type Server struct {
 	cfg Config
 	met *serverMetrics
 
-	cellSlots   chan struct{} // leased-cell admission (capacity CellSlots)
-	cellsActive int64         // leased cells executing right now (atomic)
+	cellSlots   chan struct{}      // leased-cell admission (capacity CellSlots)
+	cellsActive int64              // leased cells executing right now (atomic)
+	inputs      experiments.Inputs // prepared inputs, reused across leased cells
 
 	mu           sync.Mutex
 	waitingInt   int       // queued interactive jobs, against QueueDepth

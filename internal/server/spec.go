@@ -99,9 +99,11 @@ func (sp Spec) ParseDeadline() (time.Time, error) {
 
 const stageSpec = "server.Spec"
 
-// resolve expands the spec into concrete workloads and an experiments
-// config, validating both. All failures are typed KindInvalidInput.
-func (sp Spec) resolve() ([]bench.Workload, experiments.Config, error) {
+// Resolve expands the spec into concrete workloads and an experiments
+// config, validating both. All failures are typed KindInvalidInput. The
+// distributed-sweep coordinator uses it to decompose a spec into the
+// exact cell set a single-node run would execute.
+func (sp Spec) Resolve() ([]bench.Workload, experiments.Config, error) {
 	cfg := experiments.Config{
 		Scale:     sp.Scale,
 		MaxInstrs: sp.MaxInstrs,
@@ -134,19 +136,11 @@ func (sp Spec) resolve() ([]bench.Workload, experiments.Config, error) {
 	return ws, cfg, nil
 }
 
-// Resolve expands the spec into concrete workloads and an experiments
-// config — the exported face of resolve, for the distributed-sweep
-// coordinator, which must decompose a spec into the exact cell set a
-// single-node run would execute.
-func (sp Spec) Resolve() ([]bench.Workload, experiments.Config, error) {
-	return sp.resolve()
-}
-
 // Validate checks the spec without running anything: matrix resolution
 // plus duration syntax. The admission handler calls it so a malformed
 // submission is rejected with 400 before it costs a queue slot.
 func (sp Spec) Validate() error {
-	if _, _, err := sp.resolve(); err != nil {
+	if _, _, err := sp.Resolve(); err != nil {
 		return err
 	}
 	for _, d := range []struct{ name, val string }{
@@ -174,7 +168,7 @@ func (sp Spec) Validate() error {
 // CellsTotal reports how many matrix cells the spec decomposes into
 // (0 if the spec does not resolve).
 func (sp Spec) CellsTotal() int {
-	ws, cfg, err := sp.resolve()
+	ws, cfg, err := sp.Resolve()
 	if err != nil {
 		return 0
 	}
